@@ -1,7 +1,9 @@
 /// \file bench_obs.cpp
-/// \brief Observability overhead: the compiled-in-but-off dispatch must
-/// be free (it reaches the same kObs=false instantiations the goldens
-/// pin), and each collector's enabled cost is measured per discipline.
+/// \brief Observability overhead: an obs-off run must cost what it did
+/// before observability existed (the collectors are a runtime branch on
+/// the observer pointer, hoisted to each kernel's entry, and the goldens
+/// pin the off path), and each collector's enabled cost is measured per
+/// discipline.
 
 #include <chrono>
 #include <cstdint>
@@ -90,10 +92,9 @@ void print_report() {
     }
   }
   std::cout << table.str()
-            << "\n(\"off\" dispatches to the kObs=false instantiations — "
-               "the acceptance gate is <3% vs the pre-obs baselines, "
-               "checked by bench_compare.py against BENCH_sim/"
-               "BENCH_wormhole)\n\n";
+            << "\n(\"off\" runs the same policy instantiation with the "
+               "observer branch not taken — compare BM_*ObsOff across "
+               "builds with scripts/bench_ab.sh)\n\n";
 }
 
 // The compiled-in-but-off cost for each discipline: these two are the

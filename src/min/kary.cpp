@@ -529,6 +529,9 @@ std::size_t kary_component_count_range(const KaryMIDigraph& g, int lo,
   return dsu.components();
 }
 
+namespace {
+
+/// Generalized P(lo, hi): exactly cells / r^(hi-lo) components.
 bool kary_satisfies_p(const KaryMIDigraph& g, int lo, int hi) {
   std::size_t expected = g.cells_per_stage();
   for (int i = 0; i < hi - lo; ++i) {
@@ -536,6 +539,8 @@ bool kary_satisfies_p(const KaryMIDigraph& g, int lo, int hi) {
   }
   return kary_component_count_range(g, lo, hi) == expected;
 }
+
+}  // namespace
 
 bool kary_satisfies_p1_star(const KaryMIDigraph& g) {
   for (int j = 0; j < g.stages(); ++j) {

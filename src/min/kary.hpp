@@ -216,9 +216,6 @@ class KaryMIDigraph {
 [[nodiscard]] std::size_t kary_component_count_range(const KaryMIDigraph& g,
                                                      int lo, int hi);
 
-/// Generalized P(lo, hi): exactly cells / r^(hi-lo) components.
-[[nodiscard]] bool kary_satisfies_p(const KaryMIDigraph& g, int lo, int hi);
-
 /// Generalized P(1,*) and P(*,n).
 [[nodiscard]] bool kary_satisfies_p1_star(const KaryMIDigraph& g);
 [[nodiscard]] bool kary_satisfies_p_star_n(const KaryMIDigraph& g);

@@ -220,6 +220,10 @@ std::optional<DigitSchedule> find_digit_schedule(const FlatWiring& w) {
   return schedule;
 }
 
+namespace {
+
+/// Apply a digit schedule over the wiring: the cells visited from
+/// \p source routing toward \p sink.
 std::vector<std::uint32_t> route_with_digit_schedule(
     const FlatWiring& w, const DigitSchedule& schedule, std::uint32_t source,
     std::uint32_t sink) {
@@ -247,6 +251,8 @@ std::vector<std::uint32_t> route_with_digit_schedule(
   }
   return cells_visited;
 }
+
+}  // namespace
 
 bool verify_digit_schedule(const FlatWiring& w,
                            const DigitSchedule& schedule) {

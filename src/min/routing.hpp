@@ -87,12 +87,6 @@ struct DigitSchedule {
 [[nodiscard]] std::optional<DigitSchedule> find_digit_schedule(
     const FlatWiring& w);
 
-/// Apply a digit schedule over the wiring: the cells visited from
-/// \p source routing toward \p sink.
-[[nodiscard]] std::vector<std::uint32_t> route_with_digit_schedule(
-    const FlatWiring& w, const DigitSchedule& schedule, std::uint32_t source,
-    std::uint32_t sink);
-
 /// Check a digit schedule delivers every (source, sink) pair
 /// (exhaustive).
 [[nodiscard]] bool verify_digit_schedule(const FlatWiring& w,

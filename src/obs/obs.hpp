@@ -2,13 +2,13 @@
 /// \brief Observability configuration and the stall-cause taxonomy.
 ///
 /// The obs:: layer is a passive telemetry subsystem threaded through both
-/// switching disciplines as a compile-time policy parameter (kObs): when
-/// every collector is disabled the simulators dispatch to the kObs=false
-/// instantiations, which are byte-for-byte the pre-observability code —
-/// the same pattern kFaulted and kCredits use, pinned by the golden
-/// tests. When enabled, the collectors are strictly read-only over the
-/// simulation state: enabling observability never changes a counter,
-/// a latency or an RNG draw.
+/// switching disciplines as a runtime branch: every cycle kernel reads
+/// the observer pointer once at entry (null when every collector is
+/// disabled) and tests it at each instrumented site, so an obs-off run
+/// reproduces the golden outputs byte for byte. When enabled, the
+/// collectors are strictly read-only over the simulation state:
+/// enabling observability never changes a counter, a latency or an RNG
+/// draw.
 ///
 /// Three collectors, each independently switchable (ObsConfig):
 ///   - probes (probe.hpp): per-stage time series + occupancy heatmap,
@@ -56,7 +56,7 @@ inline constexpr std::size_t kStallCauseCount = 5;
 inline constexpr std::uint32_t kMaxFlowTerminals = 256;
 
 /// Which collectors run. The all-defaults config means "observability
-/// off" and dispatches to the kObs=false simulator instantiations.
+/// off": the simulators construct no Observer at all.
 struct ObsConfig {
   /// Probe sampling stride in measured cycles; 0 disables the probes.
   /// Each stride window ends with one sample (the first sample lands at

@@ -4,11 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "multipath/looping.hpp"
-#include "obs/observer.hpp"
-#include "sim/fabric.hpp"
 #include "sim/multipath_select.hpp"
-#include "sim/shard.hpp"
+#include "sim/policy.hpp"
 #include "sim/wormhole.hpp"
 #include "util/bitops.hpp"
 
@@ -417,32 +414,21 @@ namespace {
 /// The store-and-forward discipline as a policy over FabricCore: packets
 /// move as units between fixed-capacity per-port FIFOs (PacketRing), a
 /// packet of L flits serializes over each link for L cycles, and a packet
-/// must have fully arrived (arrival_complete) before it may advance.
+/// must have fully arrived (arrival_complete) before it may advance. The
+/// bool axes are PolicyBase's (policy.hpp); for this discipline:
 ///
-/// \tparam kFaulted compile-time fault switch: the false instantiation
-/// is the byte-identical unmasked fast path (no mask probes anywhere in
-/// the hot loop); the true instantiation routes through the
-/// fault::FaultedWiring view — masked arcs accept nothing, packets
-/// reroute via the next surviving port, and dead switches drain their
-/// queues into packets_dropped_faulted.
+/// \tparam kFaulted masked arcs accept nothing, packets reroute via the
+/// next surviving port, and dead switches drain their queues into
+/// packets_dropped_faulted.
 ///
-/// \tparam kBinary compile-time radix-2 switch: radix() folds to the
-/// literal 2, so every division and modulo below compiles to the historic
-/// shift/mask code — the binary instantiations are byte- and
-/// speed-identical to the pre-k-ary policy. The general instantiations
-/// divide by the runtime radix.
+/// \tparam kCredits link-level credits over a CreditLedger — one credit
+/// per downstream FIFO slot, consumed per push, returned per pop with the
+/// configured latency — plus the pluggable output-port arbitration
+/// (round-robin / quantum-weighted / strict-priority over the SL->VL
+/// classes packets carry). The false instantiation keeps the idealized
+/// handshake (senders probe downstream FIFO occupancy directly).
 ///
-/// \tparam kCredits compile-time flow-control switch: the false
-/// instantiation keeps the idealized handshake (senders probe downstream
-/// FIFO occupancy directly) byte for byte; the true instantiation runs
-/// link-level credits over a CreditLedger — one credit per downstream
-/// FIFO slot, consumed per push, returned per pop with the configured
-/// latency — plus the pluggable output-port arbitration (round-robin /
-/// quantum-weighted / strict-priority over the SL->VL classes packets
-/// carry).
-///
-/// \tparam kMultiPath compile-time multipath switch: the true
-/// instantiation routes *logical* destination addresses over a
+/// \tparam kMultiPath routes *logical* destination addresses over a
 /// MultiPathWiring's physical fabric — every hop selects within the
 /// engine's route_group by the configured PathPolicy (deterministic
 /// hash, least-occupancy adaptive, or looping-precomputed Benes
@@ -450,123 +436,169 @@ namespace {
 /// ejection arbitrates per logical terminal across planes * radix
 /// physical buffers. Faulted multipath runs re-select within the
 /// surviving group members first (path_reroutes) before falling back to
-/// the unipath out-of-group detour (packets_rerouted). Always the
-/// general-radix, credit-less instantiation.
+/// the unipath out-of-group detour (packets_rerouted).
 ///
-/// \tparam kObs compile-time observability switch: the false
-/// instantiation carries no telemetry code at all — an all-disabled
-/// ObsConfig dispatches there, so observability support costs plain runs
-/// nothing (pinned by the golden tests). The true instantiation feeds an
-/// obs::Observer: per-stage probe counters and trace events go to the
-/// per-worker WorkerLogs (order-independent sums / (cycle, phase)
-/// sort keys keep sharded runs byte-identical to serial), flow records
-/// ride the worker-0 eject replay, and every HOL-blocked head-cycle is
-/// attributed to exactly one StallCause in the same scan that counts
-/// hol_blocking_cycles — so the per-cause counters always sum to it.
-template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath,
-          bool kObs>
-class StoreAndForwardPolicy {
-  static_assert(!(kMultiPath && (kBinary || kCredits)),
-                "multipath instantiations are general-radix and credit-less");
+/// With an observer, every HOL-blocked head-cycle is attributed to
+/// exactly one StallCause in the same scan that counts
+/// hol_blocking_cycles, so the per-cause counters always sum to it.
+template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath>
+class StoreAndForwardPolicy
+    : public PolicyBase<
+          StoreAndForwardPolicy<kFaulted, kBinary, kCredits, kMultiPath>,
+          kFaulted, kBinary, kCredits, kMultiPath> {
+  using Base =
+      PolicyBase<StoreAndForwardPolicy<kFaulted, kBinary, kCredits,
+                                       kMultiPath>,
+                 kFaulted, kBinary, kCredits, kMultiPath>;
+  friend Base;
+  using Base::core_, Base::radix_, Base::length_, Base::obs_,
+      Base::link_counter_, Base::shard_pool_delta_, Base::faulted_,
+      Base::credit_config_, Base::credits_, Base::service_levels_,
+      Base::credit_links_, Base::lradix_, Base::lcells_, Base::planes_,
+      Base::dilation_, Base::path_policy_, Base::looping_, Base::free_stage_,
+      Base::stall_cause_;
+  using Base::radix, Base::arb_candidate, Base::arb_grant,
+      Base::record_delivery, Base::mark_stall, Base::clear_stall_causes,
+      Base::attribute_stall, Base::traced, Base::maybe_commit_probe,
+      Base::trace_inject, Base::trace_stage_cross, Base::trace_reroute,
+      Base::trace_eject, Base::eject_stall_phase, Base::drain_phase,
+      Base::advance_phase, Base::stall_phase;
 
  public:
-  StoreAndForwardPolicy(FabricCore& core, SimWorkspace& workspace,
-                        [[maybe_unused]] const fault::FaultMask* mask,
-                        [[maybe_unused]] obs::Observer* obs,
-                        [[maybe_unused]] const multipath::LoopingSettings*
-                            looping = nullptr)
-      : core_(core),
-        radix_(static_cast<unsigned>(core.wiring().radix())),
-        length_(core.config().packet_length),
-        queues_(workspace.packet_ring(
-            static_cast<std::size_t>(core.stages()) * core.ports(),
-            core.config().queue_capacity)),
+  explicit StoreAndForwardPolicy(const PolicyContext& ctx)
+      : Base(ctx,
+             static_cast<std::size_t>(ctx.core.stages()) * ctx.core.ports(),
+             static_cast<std::uint32_t>(ctx.core.config().queue_capacity),
+             static_cast<unsigned>(ctx.core.wiring().radix()),
+             ctx.core.ports()),
+        queues_(ctx.workspace.packet_ring(
+            static_cast<std::size_t>(ctx.core.stages()) * ctx.core.ports(),
+            ctx.core.config().queue_capacity)),
         link_busy_until_(
-            static_cast<std::size_t>(core.stages() - 1) * core.ports(), 0),
-        source_busy_until_(core.terminals(), 0),
-        eject_busy_until_(core.ports(), 0),
-        queue_moved_(core.ports(), 0),
-        total_packet_slots_(static_cast<double>(core.stages()) *
-                            static_cast<double>(core.ports()) *
-                            static_cast<double>(core.config().queue_capacity)) {
-    if constexpr (kMultiPath) {
-      const Engine& engine = core.engine();
-      lradix_ = static_cast<unsigned>(engine.logical_radix());
-      lcells_ = engine.logical_cells();
-      planes_ = static_cast<unsigned>(engine.planes());
-      dilation_ = static_cast<unsigned>(engine.dilation());
-      path_policy_ = core.config().path_policy;
-      looping_ = looping;
-      free_stage_ = engine.fabric().free_stage().data();
-      core.result.paths_available = engine.fabric().paths_available();
-    }
+            static_cast<std::size_t>(ctx.core.stages() - 1) *
+                ctx.core.ports(),
+            0),
+        source_busy_until_(ctx.core.terminals(), 0),
+        eject_busy_until_(ctx.core.ports(), 0),
+        queue_moved_(ctx.core.ports(), 0),
+        total_packet_slots_(
+            static_cast<double>(ctx.core.stages()) *
+            static_cast<double>(ctx.core.ports()) *
+            static_cast<double>(ctx.core.config().queue_capacity)) {
     if constexpr (kFaulted) {
-      faulted_ = fault::FaultedWiring(core.wiring(), *mask);
-      dead_cells_.resize(static_cast<std::size_t>(core.stages() - 1));
-      for (int s = 0; s + 1 < core.stages(); ++s) {
-        for (std::uint32_t x = 0; x < core.cells(); ++x) {
+      dead_cells_.resize(static_cast<std::size_t>(core_.stages() - 1));
+      for (int s = 0; s + 1 < core_.stages(); ++s) {
+        for (std::uint32_t x = 0; x < core_.cells(); ++x) {
           if (faulted_.dead_switch(s, x)) {
             dead_cells_[static_cast<std::size_t>(s)].push_back(x);
           }
         }
       }
     }
-    if constexpr (kCredits) {
-      credit_config_ = &core.config().credits;
-      service_levels_ = credit_config_->service_levels();
-      credits_ = &workspace.credit_ledger(
-          static_cast<std::size_t>(core.stages()) * core.ports(),
-          static_cast<std::uint32_t>(core.config().queue_capacity),
-          credit_config_->return_latency);
-      if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
-        weighted_.reset(static_cast<std::size_t>(core.stages()) *
-                            core.ports(),
-                        radix());
-      }
-      core.result.sl_latency.resize(service_levels_);
-    }
-    if constexpr (kObs) {
-      obs_ = obs;
-      stall_cause_.assign(core.ports(), 0);
-    }
   }
 
-  /// Eject at the last stage: each terminal link (cell x, port d % r)
-  /// carries one packet per packet_length cycles, arbitrated between the
-  /// r input slots. Ejection consumes no credits (terminals always
-  /// sink), but popping returns the slot's credit upstream; eject runs
-  /// first each cycle, so the credit ledger's start-of-cycle harvest
-  /// lives here.
-  void eject(std::uint64_t cycle, bool measuring) {
-    if constexpr (kCredits) credits_->deliver(cycle);
+  /// Inject at the first stage: terminal t feeds slot t % r of cell
+  /// t / r. A terminal whose source declines (bursty-OFF, gate miss,
+  /// closed window, no due trace record) makes no attempt at all.
+  void inject(std::uint64_t cycle, bool measuring) {
     if constexpr (kMultiPath) {
-      eject_multipath_impl<false>(cycle, measuring, 0, lcells_, nullptr);
-    } else {
-      eject_impl<false>(cycle, measuring, 0, core_.cells(), nullptr);
+      inject_multipath(cycle, measuring);
+      return;
+    }
+    // Injection is always a serial phase: log 0 is the sink in both
+    // drivers, keeping trace bytes thread-count invariant.
+    obs::WorkerLog* const log = kernel_log<false>(obs_, nullptr);
+    for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
+      if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
+      if (source_busy_until_[t] > cycle) continue;  // still serializing
+      if (measuring) ++core_.result.offered;
+      const std::size_t q = queue_index(0, t);
+      if constexpr (kCredits) {
+        // The terminal's injection link runs the same credit handshake
+        // as the internal links: no credit, no attempt consumed.
+        if (!credits_->available(q)) {
+          if (measuring) {
+            ++core_.result.credit_stall_cycles;
+            if (log != nullptr) [[unlikely]] ++log->credit[0];
+          }
+          continue;
+        }
+      } else {
+        if (queues_.full(q)) continue;  // dropped at source
+      }
+      const workload::Injection packet =
+          core_.draw(cycle, static_cast<std::uint32_t>(t));
+      const std::uint32_t dest = packet.dest;
+      const auto src = static_cast<std::uint32_t>(t);
+      if constexpr (kCredits) {
+        queues_.push(q, dest, src, cycle, cycle + length_,
+                     static_cast<unsigned>(t % service_levels_), packet.tag);
+        credits_->consume(q);
+      } else {
+        queues_.push(q, dest, src, cycle, cycle + length_, 0, packet.tag);
+      }
+      core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
+      source_busy_until_[t] = cycle + length_;
+      if (measuring) {
+        ++core_.result.injected;
+        core_.result.flits_injected += length_;
+        if (log != nullptr) [[unlikely]] trace_inject(*log, cycle, src, dest);
+      }
     }
   }
 
-  /// The eject kernel over cells [\p x0, \p x1): the serial
-  /// instantiation (kShard = false) runs the full range and mutates the
-  /// core result directly — byte-identical to the historic method — and
-  /// the sharded one accumulates order-independent counters into \p wk's
-  /// partial and defers the order-sensitive latency adds into its event
-  /// buffer for worker 0 to replay in range order. Every structure
-  /// touched is owned by the range: last-stage queues, eject pacing,
-  /// arbiters and queue_moved_ slots all index by (cell, port).
+  [[nodiscard]] std::uint64_t buffered_flits() const {
+    // Sharded kernels bypass the pool-wide counter (it would be a data
+    // race); shard_finish folds the per-worker deltas back in here.
+    // Serial runs keep the delta at 0.
+    return static_cast<std::uint64_t>(
+               static_cast<std::int64_t>(queues_.total_packets()) +
+               shard_pool_delta_) *
+           length_;
+  }
+
+  /// Worker 0 adds the pool-occupancy samples (they need the pool-wide
+  /// total, which sharded runs carry as counter + per-worker deltas).
+  void shard_sample_reduce(std::uint64_t cycle,
+                           const std::vector<ShardWorker>& workers) {
+    std::int64_t delta = 0;
+    for (const ShardWorker& wk : workers) delta += wk.pool_delta;
+    const double packets = static_cast<double>(
+        static_cast<std::int64_t>(queues_.total_packets()) + delta);
+    core_.result.lane_occupancy.add(packets / total_packet_slots_);
+    if constexpr (kCredits) {
+      if (core_.result.vl_occupancy.empty()) {
+        core_.result.vl_occupancy.resize(1);
+      }
+      core_.result.vl_occupancy[0].add(packets / total_packet_slots_);
+    }
+    maybe_commit_probe(cycle);
+  }
+
+ private:
+  /// Eject at the last stage over cells [\p x0, \p x1): each terminal
+  /// link (cell x, port d % r) carries one packet per packet_length
+  /// cycles, arbitrated between the r input slots. Ejection consumes no
+  /// credits (terminals always sink), but popping returns the slot's
+  /// credit upstream. The serial instantiation (kShard = false) runs the
+  /// full range and mutates the core result directly; the sharded one
+  /// accumulates order-independent counters into \p wk's partial and
+  /// defers the order-sensitive latency adds into its event buffer for
+  /// worker 0 to replay in range order. Every structure touched is owned
+  /// by the range: last-stage queues, eject pacing, arbiters and
+  /// queue_moved_ slots all index by (cell, port).
   template <bool kShard>
   void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t x0,
                   std::uint32_t x1, [[maybe_unused]] ShardWorker* wk) {
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(wk);
+    SimResult& res = shard_result<kShard>(core_, wk);
+    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
     const int last = core_.stages() - 1;
     const unsigned r = radix();
     std::fill(queue_moved_.begin() + static_cast<std::size_t>(x0) * r,
               queue_moved_.begin() + static_cast<std::size_t>(x1) * r, 0);
-    if constexpr (kObs) {
-      // Stall causes default to lost-arbitration; the probe loops below
-      // overwrite the specific causes they detect.
-      std::fill(stall_cause_.begin() + static_cast<std::size_t>(x0) * r,
-                stall_cause_.begin() + static_cast<std::size_t>(x1) * r, 0);
+    if (log != nullptr) [[unlikely]] {
+      clear_stall_causes(static_cast<std::size_t>(x0) * r,
+                         static_cast<std::size_t>(x1) * r);
     }
     for (std::uint32_t x = x0; x < x1; ++x) {
       for (unsigned port = 0; port < r; ++port) {
@@ -616,31 +648,17 @@ class StoreAndForwardPolicy {
             // Every delivery feeds the source, warmup included (see
             // workload::Delivery); eject_cycle counts the serialization
             // tail so reply latencies match the packet-latency clock.
-            const workload::Delivery delivery{
-                src, dest, x * r + port, inject_cycle, cycle + length_,
-                static_cast<std::uint8_t>(tag),
-                measuring && inject_cycle >= core_.config().warmup_cycles};
-            if constexpr (kShard) {
-              wk->wl_events.push_back(delivery);
-            } else {
-              core_.workload_delivered(delivery);
-            }
+            hand_delivery<kShard>(
+                core_, wk,
+                workload::Delivery{
+                    src, dest, x * r + port, inject_cycle, cycle + length_,
+                    static_cast<std::uint8_t>(tag),
+                    measuring &&
+                        inject_cycle >= core_.config().warmup_cycles});
           }
-          if constexpr (kObs) {
-            if (measuring) {
-              obs_log<kShard>(wk).hops[static_cast<std::size_t>(last)] +=
-                  length_;
-            }
-            if (inject_cycle >= core_.config().warmup_cycles &&
-                obs_->traced(src, inject_cycle)) {
-              trace_push<kShard>(wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kStageEnd,
-                                 static_cast<std::uint8_t>(last), 0,
-                                 kEjectPhase);
-              trace_push<kShard>(wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kPacketEnd, 0, 0,
-                                 kEjectPhase);
-            }
+          if (log != nullptr) [[unlikely]] {
+            if (measuring) log->hops[static_cast<std::size_t>(last)] += length_;
+            trace_eject(*log, cycle, inject_cycle, src, dest, true, true);
           }
           if (measuring && inject_cycle >= core_.config().warmup_cycles) {
             res.flits_delivered += length_;
@@ -649,15 +667,7 @@ class StoreAndForwardPolicy {
             if constexpr (kShard) {
               wk->saf_events.push_back(SafEjectEvent{latency, sl, src, dest});
             } else {
-              core_.record_packet_delivered(latency);
-              if constexpr (kCredits) {
-                core_.result.sl_latency[sl].add(latency);
-              }
-              if constexpr (kObs) {
-                if (obs_->flows_on()) {
-                  obs_->record_flow(src, dest, sl, latency);
-                }
-              }
+              record_delivery(latency, sl, src, dest);
             }
             if constexpr (kFaulted) {
               // A detoured packet ejects at whatever terminal the
@@ -670,41 +680,31 @@ class StoreAndForwardPolicy {
       }
     }
     if (measuring) {
-      account_blocking<kShard>(last, cycle, static_cast<std::size_t>(x0) * r,
-                               static_cast<std::size_t>(x1) * r, wk,
-                               eject_stall_phase(0));
+      account_blocking(last, cycle, static_cast<std::size_t>(x0) * r,
+                       static_cast<std::size_t>(x1) * r, res, log,
+                       eject_stall_phase(0));
     }
   }
 
-  /// Advance one switch stage: round-robin between the r input slots
-  /// per output port, honoring link serialization and downstream FIFO
-  /// capacity. The routing-schedule reads (and, faulted, the mask
-  /// probes) are hoisted to per-stage registers: signed/unsigned TBAA
-  /// cannot prove the queue stores below don't alias the Engine's
-  /// schedule fields, so an Engine::route_port call in the probe loop
-  /// would reload them per probe.
-  void advance_stage(int s, std::uint64_t cycle, bool measuring) {
-    if constexpr (kMultiPath) {
-      advance_stage_multipath_impl<false>(s, cycle, measuring, 0,
-                                          core_.cells(), nullptr);
-    } else {
-      advance_stage_impl<false>(s, cycle, measuring, 0, core_.cells(),
-                                nullptr);
-    }
-  }
-
-  /// The advance kernel over cells [\p x0, \p x1). Safe to run on
-  /// disjoint ranges concurrently: a cell pops only its own stage-s
-  /// queues and pushes only through its own down-arcs, and the perfect
-  /// matching makes each stage-(s+1) queue reachable from exactly one
-  /// upstream cell — single-writer without locks. Credit handshakes
-  /// stay range-local too (consume/available index the pushed target,
-  /// give_back the popped queue).
+  /// Advance stage \p s over cells [\p x0, \p x1): round-robin between
+  /// the r input slots per output port, honoring link serialization and
+  /// downstream FIFO capacity. Safe to run on disjoint ranges
+  /// concurrently: a cell pops only its own stage-s queues and pushes
+  /// only through its own down-arcs, and the perfect matching makes each
+  /// stage-(s+1) queue reachable from exactly one upstream cell —
+  /// single-writer without locks. Credit handshakes stay range-local too
+  /// (consume/available index the pushed target, give_back the popped
+  /// queue). The routing-schedule reads (and, faulted, the mask probes)
+  /// are hoisted to per-stage registers: signed/unsigned TBAA cannot
+  /// prove the queue stores below don't alias the Engine's schedule
+  /// fields, so an Engine::route_port call in the probe loop would reload
+  /// them per probe.
   template <bool kShard>
   void advance_stage_impl(int s, std::uint64_t cycle, bool measuring,
                           std::uint32_t x0, std::uint32_t x1,
                           [[maybe_unused]] ShardWorker* wk) {
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(wk);
+    SimResult& res = shard_result<kShard>(core_, wk);
+    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
     const unsigned r = radix();
     const auto down = core_.wiring().down_stage(s);
     const std::size_t link_base =
@@ -739,11 +739,9 @@ class StoreAndForwardPolicy {
     }
     std::fill(queue_moved_.begin() + static_cast<std::size_t>(x0) * r,
               queue_moved_.begin() + static_cast<std::size_t>(x1) * r, 0);
-    if constexpr (kObs) {
-      // Stall causes default to lost-arbitration; the probe loops below
-      // overwrite the specific causes they detect.
-      std::fill(stall_cause_.begin() + static_cast<std::size_t>(x0) * r,
-                stall_cause_.begin() + static_cast<std::size_t>(x1) * r, 0);
+    if (log != nullptr) [[unlikely]] {
+      clear_stall_causes(static_cast<std::size_t>(x0) * r,
+                         static_cast<std::size_t>(x1) * r);
     }
     for (std::uint32_t x = x0; x < x1; ++x) {
       for (unsigned port = 0; port < r; ++port) {
@@ -830,20 +828,16 @@ class StoreAndForwardPolicy {
             // below can never overflow).
             if (!credits_->available(target)) {
               if (measuring) ++res.credit_stall_cycles;
-              if constexpr (kObs) {
-                stall_cause_[x * r + slot] = static_cast<std::uint8_t>(
-                    obs::StallCause::kZeroCredits);
-                if (measuring) {
-                  ++obs_log<kShard>(wk).credit[static_cast<std::size_t>(s)];
-                }
+              if (log != nullptr) [[unlikely]] {
+                mark_stall(x * r + slot, obs::StallCause::kZeroCredits);
+                if (measuring) ++log->credit[static_cast<std::size_t>(s)];
               }
               break;
             }
           } else {
             if (queues_.full(target)) {
-              if constexpr (kObs) {
-                stall_cause_[x * r + slot] = static_cast<std::uint8_t>(
-                    obs::StallCause::kDownstreamFull);
+              if (log != nullptr) [[unlikely]] {
+                mark_stall(x * r + slot, obs::StallCause::kDownstreamFull);
               }
               continue;
             }
@@ -865,34 +859,17 @@ class StoreAndForwardPolicy {
           queue_moved_[x * r + slot] = 1;
           link_busy_until_[link_base + x * r + port] = cycle + length_;
           arb_grant(s, x * r + port, slot, vl);
-          if constexpr (kObs) {
-            if (measuring) {
-              obs_log<kShard>(wk).hops[static_cast<std::size_t>(s)] += length_;
-            }
-            if (inject_cycle >= core_.config().warmup_cycles &&
-                obs_->traced(src, inject_cycle)) {
-              trace_push<kShard>(wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kStageEnd,
-                                 static_cast<std::uint8_t>(s), 0,
-                                 advance_phase(s));
-              trace_push<kShard>(wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kStageBegin,
-                                 static_cast<std::uint8_t>(s + 1), 0,
-                                 advance_phase(s));
-            }
+          if (log != nullptr) [[unlikely]] {
+            if (measuring) log->hops[static_cast<std::size_t>(s)] += length_;
+            trace_stage_cross(*log, s, cycle, inject_cycle, src, dest);
           }
           if constexpr (kFaulted) {
             if (port != desired && measuring &&
                 inject_cycle >= core_.config().warmup_cycles) {
               ++res.packets_rerouted;
-              if constexpr (kObs) {
-                ++obs_log<kShard>(wk).reroute[static_cast<std::size_t>(s)];
-                if (obs_->traced(src, inject_cycle)) {
-                  trace_push<kShard>(wk, cycle, inject_cycle, src, dest,
-                                     obs::TraceEventKind::kReroute,
-                                     static_cast<std::uint8_t>(s), 0,
-                                     advance_phase(s));
-                }
+              if (log != nullptr) [[unlikely]] {
+                trace_reroute(*log, s, cycle, inject_cycle, src, dest,
+                              advance_phase(s));
               }
             }
           }
@@ -901,93 +878,32 @@ class StoreAndForwardPolicy {
       }
     }
     if (measuring) {
-      if constexpr (kObs && kFaulted) {
-        refine_masked_arc_stalls(s, cycle, static_cast<std::size_t>(x0) * r,
-                                 static_cast<std::size_t>(x1) * r, mask,
-                                 arc_base, bit_shift, bit_invert, digit_scale,
-                                 port_of_value);
-      }
-      account_blocking<kShard>(s, cycle, static_cast<std::size_t>(x0) * r,
-                               static_cast<std::size_t>(x1) * r, wk,
-                               stall_phase(s));
-    }
-  }
-
-  /// Inject at the first stage: terminal t feeds slot t % r of cell
-  /// t / r. A terminal whose source declines (bursty-OFF, gate miss,
-  /// closed window, no due trace record) makes no attempt at all.
-  void inject(std::uint64_t cycle, bool measuring) {
-    if constexpr (kMultiPath) {
-      inject_multipath(cycle, measuring);
-      return;
-    }
-    for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
-      if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
-      if (source_busy_until_[t] > cycle) continue;  // still serializing
-      if (measuring) ++core_.result.offered;
-      const std::size_t q = queue_index(0, t);
-      if constexpr (kCredits) {
-        // The terminal's injection link runs the same credit handshake
-        // as the internal links: no credit, no attempt consumed.
-        if (!credits_->available(q)) {
-          if (measuring) {
-            ++core_.result.credit_stall_cycles;
-            if constexpr (kObs) ++obs_->log(0).credit[0];
-          }
-          continue;
-        }
-      } else {
-        if (queues_.full(q)) continue;  // dropped at source
-      }
-      const workload::Injection packet =
-          core_.draw(cycle, static_cast<std::uint32_t>(t));
-      const std::uint32_t dest = packet.dest;
-      const auto src = static_cast<std::uint32_t>(t);
-      if constexpr (kCredits) {
-        queues_.push(q, dest, src, cycle, cycle + length_,
-                     static_cast<unsigned>(t % service_levels_), packet.tag);
-        credits_->consume(q);
-      } else {
-        queues_.push(q, dest, src, cycle, cycle + length_, 0, packet.tag);
-      }
-      core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
-      source_busy_until_[t] = cycle + length_;
-      if (measuring) {
-        ++core_.result.injected;
-        core_.result.flits_injected += length_;
-        if constexpr (kObs) {
-          // Injection is always a serial phase: log 0 is the sink in
-          // both drivers, keeping trace bytes thread-count invariant.
-          if (obs_->traced(src, cycle)) {
-            trace_push<false>(nullptr, cycle, cycle, src, dest,
-                              obs::TraceEventKind::kPacketBegin, 0, 0,
-                              inject_phase());
-            trace_push<false>(nullptr, cycle, cycle, src, dest,
-                              obs::TraceEventKind::kStageBegin, 0, 0,
-                              inject_phase());
-          }
+      if constexpr (kFaulted) {
+        if (log != nullptr) [[unlikely]] {
+          refine_masked_arc_stalls(s, cycle, static_cast<std::size_t>(x0) * r,
+                                   static_cast<std::size_t>(x1) * r, mask,
+                                   arc_base, bit_shift, bit_invert,
+                                   digit_scale, port_of_value);
         }
       }
+      account_blocking(s, cycle, static_cast<std::size_t>(x0) * r,
+                       static_cast<std::size_t>(x1) * r, res, log,
+                       stall_phase(s));
     }
   }
-
-  /// Sample link business and buffer occupancy (measured cycles only).
-  /// Credit runs also audit the conservation invariant every sampled
-  /// cycle: per FIFO, credits held + credit messages in flight + packets
-  /// buffered must equal the capacity exactly, and credits may never
-  /// exceed it. Violations are counted, not thrown — a sweep reports
-  /// them as data.
-  void sample(std::uint64_t cycle) { sample_impl<false>(cycle, 0, 1, nullptr); }
 
   /// The sample kernel: worker \p w of \p n audits its share of the
   /// link-pacing array and (credit runs) the per-link conservation
-  /// invariant; the pool-occupancy series — which needs the pool-wide
-  /// total — is added by the serial instantiation here and by worker 0's
-  /// sample reduce in sharded runs.
+  /// invariant — per FIFO, credits held + credit messages in flight +
+  /// packets buffered must equal the capacity exactly, and credits may
+  /// never exceed it. Violations are counted, not thrown — a sweep
+  /// reports them as data. The pool-occupancy series — which needs the
+  /// pool-wide total — is added by the serial instantiation here and by
+  /// worker 0's sample reduce in sharded runs.
   template <bool kShard>
   void sample_impl(std::uint64_t cycle, std::size_t w, std::size_t n,
                    [[maybe_unused]] ShardWorker* wk) {
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(wk);
+    [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
     const auto [l0, l1] = shard_range(link_busy_until_.size(), w, n);
     std::uint64_t busy = 0;
     for (std::size_t i = l0; i < l1; ++i) {
@@ -996,14 +912,12 @@ class StoreAndForwardPolicy {
     if constexpr (kShard) {
       wk->link_counter += busy;
     } else {
-      busy_link_cycles_ += busy;
+      link_counter_ += busy;
       core_.result.lane_occupancy.add(
           static_cast<double>(queues_.total_packets()) / total_packet_slots_);
     }
     if constexpr (kCredits) {
-      const std::size_t links =
-          static_cast<std::size_t>(core_.stages()) * core_.ports();
-      const auto [q0, q1] = shard_range(links, w, n);
+      const auto [q0, q1] = shard_range(credit_links_, w, n);
       const std::uint64_t capacity = credits_->capacity();
       for (std::size_t q = q0; q < q1; ++q) {
         const std::uint64_t held = credits_->credits(q);
@@ -1023,164 +937,25 @@ class StoreAndForwardPolicy {
             total_packet_slots_);
       }
     }
-    if constexpr (kObs && !kShard) {
-      if (obs_->want_probe(cycle)) commit_probe_window(cycle);
+    if constexpr (!kShard) maybe_commit_probe(cycle);
+  }
+
+  /// Worker 0's replay of one worker's deferred ejection statistics.
+  void replay_ejections(ShardWorker& wk, std::uint64_t /*cycle*/,
+                        bool /*measuring*/) {
+    for (const SafEjectEvent& event : wk.saf_events) {
+      record_delivery(event.latency, event.sl, event.src, event.dst);
     }
+    wk.saf_events.clear();
   }
 
-  [[nodiscard]] std::uint64_t buffered_flits() const {
-    // Sharded kernels bypass the pool-wide counter (it would be a data
-    // race); shard_finish folds the per-worker deltas back in here.
-    // Serial runs keep the delta at 0.
-    return static_cast<std::uint64_t>(
-               static_cast<std::int64_t>(queues_.total_packets()) +
-               shard_pool_delta_) *
-           length_;
-  }
-  [[nodiscard]] std::uint64_t link_counter() const {
-    return busy_link_cycles_;
+  [[nodiscard]] HeadPacket head_packet(std::size_t q) const {
+    return {queues_.front_inject(q), queues_.front_src(q),
+            queues_.front_dest(q)};
   }
 
-  // --- The sharded-driver interface (run_switched_sharded) -------------
-  // Every kernel below runs the SAME code as its serial phase, templated
-  // on kShard = true: disjoint contiguous ranges, per-worker partial
-  // counters, and deferred order-sensitive statistics (see shard.hpp for
-  // the phase/barrier schedule and the single-writer argument).
-
-  static constexpr bool kShardNeedsDeliver = kCredits;
-
-  /// Credit-harvest phase: the ledger's per-link deliver, partitioned by
-  /// flat link ranges. Must complete before any give_back of the same
-  /// cycle (the harvested ring slot is the one give_back refills), hence
-  /// its own barrier in the driver.
-  void shard_deliver(std::uint64_t cycle, std::size_t w, std::size_t n) {
-    if constexpr (kCredits) {
-      const auto [lo, hi] = shard_range(
-          static_cast<std::size_t>(core_.stages()) * core_.ports(), w, n);
-      credits_->deliver_range(cycle, lo, hi);
-    }
-  }
-
-  void shard_eject(std::uint64_t cycle, bool measuring, std::size_t w,
-                   std::size_t n, ShardWorker& wk) {
-    if constexpr (kObs) wk.obs_log = &obs_->log(w);
-    if constexpr (kMultiPath) {
-      // Multipath ejection arbitrates per LOGICAL terminal across
-      // planes, so the partition is by logical cells; the physical
-      // queues a logical range touches are disjoint per-plane runs.
-      const auto [lx0, lx1] = shard_range(lcells_, w, n);
-      eject_multipath_impl<true>(cycle, measuring,
-                                 static_cast<std::uint32_t>(lx0),
-                                 static_cast<std::uint32_t>(lx1), &wk);
-    } else {
-      const auto [x0, x1] = shard_range(core_.cells(), w, n);
-      eject_impl<true>(cycle, measuring, static_cast<std::uint32_t>(x0),
-                       static_cast<std::uint32_t>(x1), &wk);
-    }
-  }
-
-  void shard_advance(int s, std::uint64_t cycle, bool measuring,
-                     std::size_t w, std::size_t n, ShardWorker& wk) {
-    const auto [x0, x1] = shard_range(core_.cells(), w, n);
-    if constexpr (kMultiPath) {
-      advance_stage_multipath_impl<true>(s, cycle, measuring,
-                                         static_cast<std::uint32_t>(x0),
-                                         static_cast<std::uint32_t>(x1), &wk);
-    } else {
-      advance_stage_impl<true>(s, cycle, measuring,
-                               static_cast<std::uint32_t>(x0),
-                               static_cast<std::uint32_t>(x1), &wk);
-    }
-  }
-
-  /// Worker 0's exclusive phase: replay the cycle's deferred ejection
-  /// statistics and workload deliveries in ascending-worker
-  /// (= ascending-cell = serial) order, then run the cycle tail exactly
-  /// as the serial driver does — the workload tick and injection consume
-  /// the source's RNG streams in terminal order, so they stay serial by
-  /// construction and byte-deterministic at any thread count.
-  void shard_serial(std::uint64_t cycle, bool measuring,
-                    std::vector<ShardWorker>& workers) {
-    for (ShardWorker& wk : workers) {
-      for (const SafEjectEvent& event : wk.saf_events) {
-        core_.record_packet_delivered(event.latency);
-        if constexpr (kCredits) {
-          core_.result.sl_latency[event.sl].add(event.latency);
-        }
-        if constexpr (kObs) {
-          if (obs_->flows_on()) {
-            obs_->record_flow(event.src, event.dst, event.sl, event.latency);
-          }
-        }
-      }
-      wk.saf_events.clear();
-      for (const workload::Delivery& delivery : wk.wl_events) {
-        core_.workload_delivered(delivery);
-      }
-      wk.wl_events.clear();
-    }
-    core_.workload_tick(cycle, measuring);
-    inject(cycle, measuring);
-  }
-
-  void shard_sample(std::uint64_t cycle, std::size_t w, std::size_t n,
-                    ShardWorker& wk) {
-    sample_impl<true>(cycle, w, n, &wk);
-  }
-
-  /// Worker 0 adds the pool-occupancy samples (they need the pool-wide
-  /// total, which sharded runs carry as counter + per-worker deltas).
-  void shard_sample_reduce(std::uint64_t cycle,
-                           const std::vector<ShardWorker>& workers) {
-    std::int64_t delta = 0;
-    for (const ShardWorker& wk : workers) delta += wk.pool_delta;
-    const double packets = static_cast<double>(
-        static_cast<std::int64_t>(queues_.total_packets()) + delta);
-    core_.result.lane_occupancy.add(packets / total_packet_slots_);
-    if constexpr (kCredits) {
-      if (core_.result.vl_occupancy.empty()) {
-        core_.result.vl_occupancy.resize(1);
-      }
-      core_.result.vl_occupancy[0].add(packets / total_packet_slots_);
-    }
-    if constexpr (kObs) {
-      if (obs_->want_probe(cycle)) commit_probe_window(cycle);
-    }
-  }
-
-  /// Sum the order-independent partials into the core result.
-  void shard_finish(const std::vector<ShardWorker>& workers) {
-    for (const ShardWorker& wk : workers) {
-      const SimResult& partial = wk.partial;
-      core_.result.flits_delivered += partial.flits_delivered;
-      core_.result.hol_blocking_cycles += partial.hol_blocking_cycles;
-      core_.result.credit_stall_cycles += partial.credit_stall_cycles;
-      core_.result.credit_violations += partial.credit_violations;
-      core_.result.packets_dropped_faulted += partial.packets_dropped_faulted;
-      core_.result.flits_dropped_faulted += partial.flits_dropped_faulted;
-      core_.result.packets_rerouted += partial.packets_rerouted;
-      core_.result.packets_misdelivered += partial.packets_misdelivered;
-      core_.result.path_reroutes += partial.path_reroutes;
-      core_.result.stall_lost_arbitration += partial.stall_lost_arbitration;
-      core_.result.stall_downstream_full += partial.stall_downstream_full;
-      core_.result.stall_no_free_lane += partial.stall_no_free_lane;
-      core_.result.stall_zero_credits += partial.stall_zero_credits;
-      core_.result.stall_masked_arc += partial.stall_masked_arc;
-      busy_link_cycles_ += wk.link_counter;
-      shard_pool_delta_ += wk.pool_delta;
-    }
-  }
-
- private:
-  /// core_.result for the serial instantiations, the worker's partial
-  /// for sharded kernels — so the kernel bodies read identically.
-  template <bool kShard>
-  [[nodiscard]] SimResult& shard_result([[maybe_unused]] ShardWorker* wk) {
-    if constexpr (kShard) {
-      return wk->partial;
-    } else {
-      return core_.result;
-    }
+  [[nodiscard]] std::uint32_t port_occupancy(int s, std::size_t port) const {
+    return queues_.count(queue_index(s, port));
   }
 
   /// Pool ops that keep the shared total (serial) or a per-worker delta
@@ -1205,15 +980,18 @@ class StoreAndForwardPolicy {
       queues_.push(q, dest, src, inject_cycle, arrival, sl, tag);
     }
   }
-  /// Multipath ejection: logical terminal lx * lr + j arbitrates over
-  /// the planes * radix physical last-stage buffers of its logical cell
-  /// (a packet may arrive on any arc of its dilation group and in any
-  /// plane), per-terminal round-robin so no plane starves.
+
+  /// Multipath ejection over logical cells [\p lx0, \p lx1): logical
+  /// terminal lx * lr + j arbitrates over the planes * radix physical
+  /// last-stage buffers of its logical cell (a packet may arrive on any
+  /// arc of its dilation group and in any plane), per-terminal
+  /// round-robin so no plane starves.
   template <bool kShard>
   void eject_multipath_impl(std::uint64_t cycle, bool measuring,
                             std::uint32_t lx0, std::uint32_t lx1,
                             [[maybe_unused]] ShardWorker* wk) {
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(wk);
+    SimResult& res = shard_result<kShard>(core_, wk);
+    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
     const int last = core_.stages() - 1;
     const unsigned r = radix_;
     const unsigned candidates = planes_ * r;
@@ -1226,10 +1004,9 @@ class StoreAndForwardPolicy {
       std::fill(queue_moved_.begin() + run + static_cast<std::size_t>(lx0) * r,
                 queue_moved_.begin() + run + static_cast<std::size_t>(lx1) * r,
                 0);
-      if constexpr (kObs) {
-        std::fill(
-            stall_cause_.begin() + run + static_cast<std::size_t>(lx0) * r,
-            stall_cause_.begin() + run + static_cast<std::size_t>(lx1) * r, 0);
+      if (log != nullptr) [[unlikely]] {
+        clear_stall_causes(run + static_cast<std::size_t>(lx0) * r,
+                           run + static_cast<std::size_t>(lx1) * r);
       }
     }
     for (std::uint32_t lx = lx0; lx < lx1; ++lx) {
@@ -1257,31 +1034,18 @@ class StoreAndForwardPolicy {
           arb.grant(c);
           queue_moved_[port_index] = 1;
           if (core_.wants_deliveries()) {
-            const workload::Delivery delivery{
-                src, dest, static_cast<std::uint32_t>(term), inject_cycle,
-                cycle + length_, static_cast<std::uint8_t>(tag),
-                measuring && inject_cycle >= core_.config().warmup_cycles};
-            if constexpr (kShard) {
-              wk->wl_events.push_back(delivery);
-            } else {
-              core_.workload_delivered(delivery);
-            }
+            hand_delivery<kShard>(
+                core_, wk,
+                workload::Delivery{
+                    src, dest, static_cast<std::uint32_t>(term),
+                    inject_cycle, cycle + length_,
+                    static_cast<std::uint8_t>(tag),
+                    measuring &&
+                        inject_cycle >= core_.config().warmup_cycles});
           }
-          if constexpr (kObs) {
-            if (measuring) {
-              obs_log<kShard>(wk).hops[static_cast<std::size_t>(last)] +=
-                  length_;
-            }
-            if (inject_cycle >= core_.config().warmup_cycles &&
-                obs_->traced(src, inject_cycle)) {
-              trace_push<kShard>(wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kStageEnd,
-                                 static_cast<std::uint8_t>(last), 0,
-                                 kEjectPhase);
-              trace_push<kShard>(wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kPacketEnd, 0, 0,
-                                 kEjectPhase);
-            }
+          if (log != nullptr) [[unlikely]] {
+            if (measuring) log->hops[static_cast<std::size_t>(last)] += length_;
+            trace_eject(*log, cycle, inject_cycle, src, dest, true, true);
           }
           if (measuring && inject_cycle >= core_.config().warmup_cycles) {
             res.flits_delivered += length_;
@@ -1290,12 +1054,7 @@ class StoreAndForwardPolicy {
             if constexpr (kShard) {
               wk->saf_events.push_back(SafEjectEvent{latency, 0, src, dest});
             } else {
-              core_.record_packet_delivered(latency);
-              if constexpr (kObs) {
-                if (obs_->flows_on()) {
-                  obs_->record_flow(src, dest, 0, latency);
-                }
-              }
+              record_delivery(latency, 0, src, dest);
             }
             if constexpr (kFaulted) {
               if ((dest / lradix_) != lx) {
@@ -1311,10 +1070,9 @@ class StoreAndForwardPolicy {
       for (unsigned plane = 0; plane < planes_; ++plane) {
         const std::size_t run =
             (static_cast<std::size_t>(plane) * lcells_) * r;
-        account_blocking<kShard>(last, cycle,
-                                 run + static_cast<std::size_t>(lx0) * r,
-                                 run + static_cast<std::size_t>(lx1) * r, wk,
-                                 eject_stall_phase(plane));
+        account_blocking(last, cycle, run + static_cast<std::size_t>(lx0) * r,
+                         run + static_cast<std::size_t>(lx1) * r, res, log,
+                         eject_stall_phase(plane));
       }
     }
   }
@@ -1328,7 +1086,8 @@ class StoreAndForwardPolicy {
                                     bool measuring, std::uint32_t x0,
                                     std::uint32_t x1,
                                     [[maybe_unused]] ShardWorker* wk) {
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(wk);
+    SimResult& res = shard_result<kShard>(core_, wk);
+    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
     const unsigned r = radix_;
     const auto down = core_.wiring().down_stage(s);
     const std::size_t link_base =
@@ -1359,11 +1118,9 @@ class StoreAndForwardPolicy {
     }
     std::fill(queue_moved_.begin() + static_cast<std::size_t>(x0) * r,
               queue_moved_.begin() + static_cast<std::size_t>(x1) * r, 0);
-    if constexpr (kObs) {
-      // Stall causes default to lost-arbitration; the probe loops below
-      // overwrite the specific causes they detect.
-      std::fill(stall_cause_.begin() + static_cast<std::size_t>(x0) * r,
-                stall_cause_.begin() + static_cast<std::size_t>(x1) * r, 0);
+    if (log != nullptr) [[unlikely]] {
+      clear_stall_causes(static_cast<std::size_t>(x0) * r,
+                         static_cast<std::size_t>(x1) * r);
     }
     for (std::uint32_t x = x0; x < x1; ++x) {
       for (unsigned port = 0; port < r; ++port) {
@@ -1396,9 +1153,8 @@ class StoreAndForwardPolicy {
           const std::uint32_t record = down[x * r + port];
           const std::size_t target = queue_index(s + 1, record);
           if (queues_.full(target)) {
-            if constexpr (kObs) {
-              stall_cause_[x * r + slot] = static_cast<std::uint8_t>(
-                  obs::StallCause::kDownstreamFull);
+            if (log != nullptr) [[unlikely]] {
+              mark_stall(x * r + slot, obs::StallCause::kDownstreamFull);
             }
             continue;
           }
@@ -1410,36 +1166,17 @@ class StoreAndForwardPolicy {
           queue_moved_[x * r + slot] = 1;
           link_busy_until_[link_base + x * r + port] = cycle + length_;
           arb_grant(s, x * r + port, slot, 0);
-          if constexpr (kObs) {
-            if (measuring) {
-              obs_log<kShard>(wk).hops[static_cast<std::size_t>(s)] += length_;
-            }
-            if (inject_cycle >= core_.config().warmup_cycles &&
-                obs_->traced(src, inject_cycle)) {
-              trace_push<kShard>(wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kStageEnd,
-                                 static_cast<std::uint8_t>(s), 0,
-                                 advance_phase(s));
-              trace_push<kShard>(wk, cycle, inject_cycle, src, dest,
-                                 obs::TraceEventKind::kStageBegin,
-                                 static_cast<std::uint8_t>(s + 1), 0,
-                                 advance_phase(s));
-            }
+          if (log != nullptr) [[unlikely]] {
+            if (measuring) log->hops[static_cast<std::size_t>(s)] += length_;
+            trace_stage_cross(*log, s, cycle, inject_cycle, src, dest);
           }
           if constexpr (kFaulted) {
             if (measuring && inject_cycle >= core_.config().warmup_cycles) {
               if (reroute_kind == 1) ++res.path_reroutes;
               if (reroute_kind == 2) ++res.packets_rerouted;
-              if constexpr (kObs) {
-                if (reroute_kind != 0) {
-                  ++obs_log<kShard>(wk).reroute[static_cast<std::size_t>(s)];
-                  if (obs_->traced(src, inject_cycle)) {
-                    trace_push<kShard>(wk, cycle, inject_cycle, src, dest,
-                                       obs::TraceEventKind::kReroute,
-                                       static_cast<std::uint8_t>(s), 0,
-                                       advance_phase(s));
-                  }
-                }
+              if (reroute_kind != 0 && log != nullptr) {
+                trace_reroute(*log, s, cycle, inject_cycle, src, dest,
+                              advance_phase(s));
               }
             }
           }
@@ -1448,15 +1185,18 @@ class StoreAndForwardPolicy {
       }
     }
     if (measuring) {
-      if constexpr (kObs && kFaulted) {
-        refine_masked_group_stalls(s, cycle, static_cast<std::size_t>(x0) * r,
-                                   static_cast<std::size_t>(x1) * r, mask,
-                                   arc_base, free, digit_scale,
-                                   port_of_value);
+      if constexpr (kFaulted) {
+        if (log != nullptr) [[unlikely]] {
+          refine_masked_group_stalls(s, cycle,
+                                     static_cast<std::size_t>(x0) * r,
+                                     static_cast<std::size_t>(x1) * r, mask,
+                                     arc_base, free, digit_scale,
+                                     port_of_value);
+        }
       }
-      account_blocking<kShard>(s, cycle, static_cast<std::size_t>(x0) * r,
-                               static_cast<std::size_t>(x1) * r, wk,
-                               stall_phase(s));
+      account_blocking(s, cycle, static_cast<std::size_t>(x0) * r,
+                       static_cast<std::size_t>(x1) * r, res, log,
+                       stall_phase(s));
     }
   }
 
@@ -1465,6 +1205,7 @@ class StoreAndForwardPolicy {
   /// path policy on replicated fabrics (hash of the destination, or the
   /// emptiest injection FIFO).
   void inject_multipath(std::uint64_t cycle, bool measuring) {
+    obs::WorkerLog* const log = kernel_log<false>(obs_, nullptr);
     const unsigned r = radix_;
     for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
       if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
@@ -1513,16 +1254,7 @@ class StoreAndForwardPolicy {
       if (measuring) {
         ++core_.result.injected;
         core_.result.flits_injected += length_;
-        if constexpr (kObs) {
-          if (obs_->traced(src, cycle)) {
-            trace_push<false>(nullptr, cycle, cycle, src, dest,
-                              obs::TraceEventKind::kPacketBegin, 0, 0,
-                              inject_phase());
-            trace_push<false>(nullptr, cycle, cycle, src, dest,
-                              obs::TraceEventKind::kStageBegin, 0, 0,
-                              inject_phase());
-          }
-        }
+        if (log != nullptr) [[unlikely]] trace_inject(*log, cycle, src, dest);
       }
     }
   }
@@ -1598,49 +1330,8 @@ class StoreAndForwardPolicy {
     return static_cast<int>(base);
   }
 
-  /// The radix, folded to the literal 2 in the binary instantiations so
-  /// / and % compile to the historic shift/mask code.
-  [[nodiscard]] unsigned radix() const noexcept {
-    if constexpr (kBinary) {
-      return 2U;
-    } else {
-      return radix_;
-    }
-  }
-
   [[nodiscard]] std::size_t queue_index(int s, std::size_t i) const {
     return static_cast<std::size_t>(s) * core_.ports() + i;
-  }
-
-  /// The arbitration seam (kCredits only varies it): round-robin and
-  /// strict priority keep the core's RoundRobin pointer state — priority
-  /// filters candidates before the pointer ever moves, so uniform
-  /// weights degrade to plain round-robin byte for byte — while the
-  /// weighted policy swaps in the quantum WRR state below.
-  [[nodiscard]] unsigned arb_candidate(int s, std::size_t out,
-                                       unsigned probe) {
-    if constexpr (kCredits) {
-      if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
-        return weighted_.candidate(arb_index(s, out), probe);
-      }
-    }
-    return core_.arbiter(s, out).candidate(probe);
-  }
-
-  void arb_grant(int s, std::size_t out, unsigned winner,
-                 [[maybe_unused]] unsigned vl) {
-    if constexpr (kCredits) {
-      if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
-        weighted_.grant(arb_index(s, out), winner,
-                        credit_config_->weight(vl));
-        return;
-      }
-    }
-    core_.arbiter(s, out).grant(winner);
-  }
-
-  [[nodiscard]] std::size_t arb_index(int s, std::size_t out) const {
-    return static_cast<std::size_t>(s) * core_.ports() + out;
   }
 
   /// Weight class of the packet at the head of queue \p q (kCredits
@@ -1680,30 +1371,28 @@ class StoreAndForwardPolicy {
   void drain_dead_switches(int s, std::uint64_t cycle, bool measuring,
                            std::uint32_t x0, std::uint32_t x1,
                            ShardWorker* wk) {
+    SimResult& res = shard_result<kShard>(core_, wk);
+    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
     const unsigned r = radix();
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(wk);
     for (const std::uint32_t x : dead_cells_[static_cast<std::size_t>(s)]) {
       if (x < x0 || x >= x1) continue;
       for (unsigned slot = 0; slot < r; ++slot) {
         const std::size_t q = queue_index(s, x * r + slot);
         while (!queues_.empty(q) && queues_.front_arrival(q) <= cycle) {
           const std::uint64_t inject_cycle = queues_.front_inject(q);
-          if constexpr (kObs) {
-            if (inject_cycle >= core_.config().warmup_cycles) {
-              const std::uint32_t src = queues_.front_src(q);
-              if (obs_->traced(src, inject_cycle)) {
-                const std::uint32_t dest = queues_.front_dest(q);
-                const std::uint8_t phase = drain_phase(s);
-                trace_push<kShard>(wk, cycle, inject_cycle, src, dest,
-                                   obs::TraceEventKind::kDrop,
-                                   static_cast<std::uint8_t>(s), 0, phase);
-                trace_push<kShard>(wk, cycle, inject_cycle, src, dest,
-                                   obs::TraceEventKind::kStageEnd,
-                                   static_cast<std::uint8_t>(s), 0, phase);
-                trace_push<kShard>(wk, cycle, inject_cycle, src, dest,
-                                   obs::TraceEventKind::kPacketEnd, 0, 0,
-                                   phase);
-              }
+          if (log != nullptr) [[unlikely]] {
+            const std::uint32_t src = queues_.front_src(q);
+            if (traced(src, inject_cycle)) {
+              const std::uint32_t dest = queues_.front_dest(q);
+              const std::uint8_t phase = drain_phase(s);
+              trace_push(*log, cycle, inject_cycle, src, dest,
+                         obs::TraceEventKind::kDrop,
+                         static_cast<std::uint8_t>(s), 0, phase);
+              trace_push(*log, cycle, inject_cycle, src, dest,
+                         obs::TraceEventKind::kStageEnd,
+                         static_cast<std::uint8_t>(s), 0, phase);
+              trace_push(*log, cycle, inject_cycle, src, dest,
+                         obs::TraceEventKind::kPacketEnd, 0, 0, phase);
             }
           }
           shard_pop<kShard>(q, wk);
@@ -1722,68 +1411,37 @@ class StoreAndForwardPolicy {
   /// Head-of-line blocking: a fully-arrived head in [p0, p1) that did
   /// not move. The port range always matches the caller's writer
   /// partition of queue_moved_, so sharded totals equal the serial scan.
-  /// kObs: the same scan charges each blocked head to its recorded
-  /// StallCause, so the per-cause counters partition
-  /// hol_blocking_cycles exactly — no separate bookkeeping to drift.
-  template <bool kShard>
+  /// With an observer (\p log non-null) the same scan charges each
+  /// blocked head to its recorded StallCause. The loop is unswitched by
+  /// hand: a call inside the plain scan would force its loop invariants
+  /// out of registers.
   void account_blocking(int s, std::uint64_t cycle, std::size_t p0,
-                        std::size_t p1, ShardWorker* wk,
-                        [[maybe_unused]] std::uint8_t phase) {
-    SimResult& res = shard_result<kShard>(wk);
-    for (std::size_t i = p0; i < p1; ++i) {
+                        std::size_t p1, SimResult& res, obs::WorkerLog* log,
+                        std::uint8_t phase) {
+    const auto blocked = [&](std::size_t i) {
       const std::size_t q = queue_index(s, i);
-      if (!queues_.empty(q) && queues_.front_arrival(q) <= cycle &&
-          queue_moved_[i] == 0) {
+      return !queues_.empty(q) && queues_.front_arrival(q) <= cycle &&
+             queue_moved_[i] == 0;
+    };
+    if (log == nullptr) [[likely]] {
+      for (std::size_t i = p0; i < p1; ++i) {
+        if (blocked(i)) ++res.hol_blocking_cycles;
+      }
+      return;
+    }
+    for (std::size_t i = p0; i < p1; ++i) {
+      if (blocked(i)) {
         ++res.hol_blocking_cycles;
-        if constexpr (kObs) {
-          attribute_stall<kShard>(s, cycle, i, q, wk, phase);
-        }
+        attribute_stall(s, cycle, i, queue_index(s, i), res, *log, phase);
       }
     }
   }
 
-  /// kObs only: one blocked head-cycle's telemetry — the per-cause
-  /// SimResult counter, the per-stage probe counter, and a stall instant
-  /// for traced packets.
-  template <bool kShard>
-  void attribute_stall(int s, std::uint64_t cycle, std::size_t i,
-                       std::size_t q, ShardWorker* wk, std::uint8_t phase) {
-    SimResult& res = shard_result<kShard>(wk);
-    const auto cause = static_cast<obs::StallCause>(stall_cause_[i]);
-    switch (cause) {
-      case obs::StallCause::kLostArbitration:
-        ++res.stall_lost_arbitration;
-        break;
-      case obs::StallCause::kDownstreamFull:
-        ++res.stall_downstream_full;
-        break;
-      case obs::StallCause::kNoFreeLane:
-        ++res.stall_no_free_lane;
-        break;
-      case obs::StallCause::kZeroCredits:
-        ++res.stall_zero_credits;
-        break;
-      case obs::StallCause::kMaskedArc:
-        ++res.stall_masked_arc;
-        break;
-    }
-    ++obs_log<kShard>(wk).hol[static_cast<std::size_t>(s)];
-    if (obs_->trace_on()) {
-      const std::uint64_t ic = queues_.front_inject(q);
-      const std::uint32_t src = queues_.front_src(q);
-      if (ic >= core_.config().warmup_cycles && obs_->traced(src, ic)) {
-        trace_push<kShard>(wk, cycle, ic, src, queues_.front_dest(q),
-                           obs::TraceEventKind::kStall,
-                           static_cast<std::uint8_t>(s),
-                           static_cast<std::uint8_t>(cause), phase);
-      }
-    }
-  }
-
-  /// kObs && kFaulted: re-attribute still-unexplained blocked heads whose
-  /// scheduled arc is fault-masked — they stall waiting on detour
-  /// capacity, which is a fault symptom, not plain congestion. Runs just
-  /// before account_blocking with the stage's hoisted routing registers.
+  /// Observability && kFaulted: re-attribute still-unexplained blocked
+  /// heads whose scheduled arc is fault-masked — they stall waiting on
+  /// detour capacity, which is a fault symptom, not plain congestion.
+  /// Runs just before account_blocking with the stage's hoisted routing
+  /// registers.
   void refine_masked_arc_stalls(int s, std::uint64_t cycle, std::size_t p0,
                                 std::size_t p1, const fault::FaultMask* mask,
                                 std::size_t arc_base, unsigned bit_shift,
@@ -1802,8 +1460,7 @@ class StoreAndForwardPolicy {
         desired = port_of_value[((dest / r) / digit_scale) % r];
       }
       if (mask->faulted_index(arc_base + (i / r) * r + desired)) {
-        stall_cause_[i] =
-            static_cast<std::uint8_t>(obs::StallCause::kMaskedArc);
+        mark_stall(i, obs::StallCause::kMaskedArc);
       }
     }
   }
@@ -1836,258 +1493,33 @@ class StoreAndForwardPolicy {
           break;
         }
       }
-      if (all_masked) {
-        stall_cause_[i] =
-            static_cast<std::uint8_t>(obs::StallCause::kMaskedArc);
-      }
+      if (all_masked) mark_stall(i, obs::StallCause::kMaskedArc);
     }
   }
 
-  // --- Observability helpers (kObs instantiations only) ----------------
-
-  /// The WorkerLog the current kernel writes: the worker's own sink on
-  /// sharded runs (shard_eject re-binds it every cycle), log 0 serially.
-  template <bool kShard>
-  [[nodiscard]] obs::WorkerLog& obs_log([[maybe_unused]] ShardWorker* wk) {
-    if constexpr (kShard) {
-      return *wk->obs_log;
-    } else {
-      return obs_->log(0);
-    }
-  }
-
-  /// Append one trace event to the current worker's buffer, tagged with
-  /// its (cycle, phase) sort key. Callers have already checked
-  /// Observer::traced for the packet.
-  template <bool kShard>
-  void trace_push(ShardWorker* wk, std::uint64_t cycle,
-                  std::uint64_t inject_cycle, std::uint32_t src,
-                  std::uint32_t dst, obs::TraceEventKind kind,
-                  std::uint8_t stage, std::uint8_t cause,
-                  std::uint8_t phase) {
-    obs::TraceEvent event;
-    event.cycle = cycle;
-    event.inject_cycle = inject_cycle;
-    event.src = src;
-    event.dst = dst;
-    event.kind = kind;
-    event.stage = stage;
-    event.cause = cause;
-    event.phase = phase;
-    obs_log<kShard>(wk).events.push_back(event);
-  }
-
-  // Phase ordinals (TraceEvent::phase): the serial sub-phases of one
-  // cycle numbered in execution order — eject moves, the per-plane eject
-  // HOL scans, then per advance stage s (walked S-2 down to 0) a
-  // drain / moves / HOL-scan triple, and injection last — so the sharded
-  // (cycle, phase) stable sort reproduces the serial emission order.
-  static constexpr std::uint8_t kEjectPhase = 0;
-  [[nodiscard]] std::uint8_t eject_stall_phase(unsigned plane) const noexcept {
-    return static_cast<std::uint8_t>(1 + plane);
-  }
-  [[nodiscard]] std::uint8_t advance_base(int s) const noexcept {
-    return static_cast<std::uint8_t>(
-        1 + planes_ +
-        3 * static_cast<unsigned>(core_.stages() - 2 - s));
-  }
-  [[nodiscard]] std::uint8_t drain_phase(int s) const noexcept {
-    return advance_base(s);
-  }
-  [[nodiscard]] std::uint8_t advance_phase(int s) const noexcept {
-    return static_cast<std::uint8_t>(advance_base(s) + 1);
-  }
-  [[nodiscard]] std::uint8_t stall_phase(int s) const noexcept {
-    return static_cast<std::uint8_t>(advance_base(s) + 2);
-  }
-  [[nodiscard]] std::uint8_t inject_phase() const noexcept {
-    return static_cast<std::uint8_t>(
-        1 + planes_ + 3 * static_cast<unsigned>(core_.stages() - 1));
-  }
-
-  /// Close a probe window (serial sample phase / worker 0's sample
-  /// reduce): fill the observer's scratch with the per-(stage, cell)
-  /// buffered packet counts and commit.
-  void commit_probe_window(std::uint64_t cycle) {
-    std::vector<std::uint32_t>& scratch = obs_->occupancy_scratch();
-    const unsigned r = radix();
-    const int stages = core_.stages();
-    const std::uint32_t cells = core_.cells();
-    for (int s = 0; s < stages; ++s) {
-      for (std::uint32_t x = 0; x < cells; ++x) {
-        std::uint32_t occupied = 0;
-        for (unsigned slot = 0; slot < r; ++slot) {
-          occupied += queues_.count(queue_index(s, x * r + slot));
-        }
-        scratch[static_cast<std::size_t>(s) * cells + x] = occupied;
-      }
-    }
-    obs_->commit_probe(cycle);
-  }
-
-  FabricCore& core_;
-  unsigned radix_;
-  std::uint64_t length_;
   PacketRing& queues_;
   std::vector<std::uint64_t> link_busy_until_;
   std::vector<std::uint64_t> source_busy_until_;
   std::vector<std::uint64_t> eject_busy_until_;
   std::vector<std::uint8_t> queue_moved_;
-  std::uint64_t busy_link_cycles_ = 0;
-  std::int64_t shard_pool_delta_ = 0;  // sharded runs only
   double total_packet_slots_;
-  fault::FaultedWiring faulted_;                     // kFaulted only
   std::vector<std::vector<std::uint32_t>> dead_cells_;  // kFaulted only
-  const CreditConfig* credit_config_ = nullptr;      // kCredits only
-  CreditLedger* credits_ = nullptr;                  // kCredits only
-  WeightedRoundRobin weighted_;                      // kCredits only
-  std::size_t service_levels_ = 1;                   // kCredits only
-  unsigned lradix_ = 2;                              // kMultiPath only
-  std::uint32_t lcells_ = 1;                         // kMultiPath only
-  unsigned planes_ = 1;                              // kMultiPath only
-  unsigned dilation_ = 1;                            // kMultiPath only
-  PathPolicy path_policy_ = PathPolicy::kHash;       // kMultiPath only
-  const multipath::LoopingSettings* looping_ = nullptr;  // kMultiPath only
-  const std::uint8_t* free_stage_ = nullptr;         // kMultiPath only
-  obs::Observer* obs_ = nullptr;                     // kObs only
-  /// Per-(port, cycle) StallCause scratch, written by the probe loops
-  /// and read by account_blocking's attribution — same writer partition
-  /// as queue_moved_.
-  std::vector<std::uint8_t> stall_cause_;            // kObs only
 };
-
-/// Out of line on purpose: inlining all the instantiations into
-/// Engine::run lets the compiler cross-jump the twin hot loops into
-/// shared blocks, costing the binary instantiation measurable time.
-template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath,
-          bool kObs>
-#if defined(__GNUC__)
-[[gnu::noinline]]
-#endif
-SimResult
-run_saf_impl(FabricCore& core, SimWorkspace& workspace,
-             const fault::FaultMask* mask, obs::Observer* obs,
-             const multipath::LoopingSettings* looping) {
-  StoreAndForwardPolicy<kFaulted, kBinary, kCredits, kMultiPath, kObs>
-      policy(core, workspace, mask, obs, looping);
-  if constexpr (kObs) {
-    // Closed-loop sources route request->reply latencies into the flow
-    // recorder's service channel (null and ignored when flows are off).
-    core.set_service_recorder(obs->flow_recorder());
-  }
-  const std::size_t threads = core.config().sim_threads;
-  SimResult result = threads > 1 ? run_switched_sharded(core, policy, threads)
-                                 : run_switched(core, policy);
-  if constexpr (kObs) {
-    result.probes = obs->take_probes();
-    if (obs->flows_on()) result.flows = obs->flow_summary();
-    result.trace = obs->take_trace();
-  }
-  return result;
-}
-
-/// The obs fork: an absent observer dispatches to the kObs=false
-/// instantiation — byte for byte the pre-observability policy, the same
-/// pattern the kFaulted/kCredits fast paths use.
-template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath>
-SimResult run_saf(FabricCore& core, SimWorkspace& workspace,
-                  const fault::FaultMask* mask, obs::Observer* obs,
-                  const multipath::LoopingSettings* looping = nullptr) {
-  if (obs != nullptr) {
-    return run_saf_impl<kFaulted, kBinary, kCredits, kMultiPath, true>(
-        core, workspace, mask, obs, looping);
-  }
-  return run_saf_impl<kFaulted, kBinary, kCredits, kMultiPath, false>(
-      core, workspace, mask, nullptr, looping);
-}
 
 }  // namespace
 
 SimResult Engine::run(Pattern pattern, const SimConfig& config,
                       const fault::FaultMask* mask,
                       SimWorkspace* workspace) const {
-  config.validate();
-  // The fast-path test: an absent or all-clear mask runs the exact
-  // unfaulted policy instantiation, so fault support costs the pristine
-  // hot loop nothing.
-  const bool faulted = mask != nullptr && !mask->none();
-  if (faulted && !mask->matches(wiring_)) {
-    throw std::invalid_argument(
-        "Engine::run: fault mask geometry does not match this network");
-  }
   if (config.mode == SwitchingMode::kWormhole) {
     return WormholeSimulator(*this).run(pattern, config, EjectObserver(),
                                         mask, workspace);
   }
-  SimWorkspace local;
-  SimWorkspace& ws = workspace != nullptr ? *workspace : local;
-  // The observer outlives the policy: constructed up front (so its
-  // worker-log count matches the shard team the driver will clamp to)
-  // and harvested into the result by run_saf_impl.
-  std::optional<obs::Observer> observer;
-  if (config.obs.any()) {
-    config.obs.validate(terminals_);
-    const std::size_t workers =
-        config.sim_threads > 1
-            ? std::min<std::size_t>(
-                  config.sim_threads,
-                  std::max<std::uint32_t>(1, wiring_.cells_per_stage()))
-            : 1;
-    const std::size_t ports = static_cast<std::size_t>(wiring_.radix()) *
-                              wiring_.cells_per_stage();
-    observer.emplace(
-        config.obs, wiring_.stages(), wiring_.cells_per_stage(), ports,
-        static_cast<std::uint32_t>(terminals_), config.warmup_cycles,
-        config.measure_cycles, workers,
-        latency_histogram_buckets(config, wiring_.stages()),
-        config.credits.enabled ? config.credits.service_levels() : 1,
-        static_cast<double>(ports) *
-            static_cast<double>(config.queue_capacity));
-  }
-  obs::Observer* obs = observer.has_value() ? &*observer : nullptr;
-  if (multipath()) {
-    if (config.credits.enabled) {
-      throw std::invalid_argument(
-          "Engine::run: credit-based flow control is not supported on "
-          "multipath fabrics");
-    }
-    // The looping rearrangement runs once up front: it configures every
-    // free connection for the requested permutation, and the policy then
-    // just reads the settings tables.
-    std::optional<multipath::LoopingSettings> looping;
-    if (config.path_policy == PathPolicy::kLooping) {
-      looping = multipath::looping_configure(*fabric_, config.permutation);
-    }
-    const multipath::LoopingSettings* settings =
-        looping.has_value() ? &*looping : nullptr;
-    FabricCore core(*this, pattern, config,
-                    /*arbiter_candidates=*/static_cast<unsigned>(radix()),
-                    /*eject_candidates=*/static_cast<unsigned>(planes_) *
-                        static_cast<unsigned>(radix()));
-    return faulted ? run_saf<true, false, false, true>(core, ws, mask, obs,
-                                                       settings)
-                   : run_saf<false, false, false, true>(core, ws, nullptr,
-                                                        obs, settings);
-  }
-  FabricCore core(*this, pattern, config,
-                  /*arbiter_candidates=*/static_cast<unsigned>(radix()));
-  const bool binary = wiring_.radix() == 2;
-  const bool credits = config.credits.enabled;
-  if (faulted) {
-    if (credits) {
-      return binary ? run_saf<true, true, true, false>(core, ws, mask, obs)
-                    : run_saf<true, false, true, false>(core, ws, mask, obs);
-    }
-    return binary ? run_saf<true, true, false, false>(core, ws, mask, obs)
-                  : run_saf<true, false, false, false>(core, ws, mask, obs);
-  }
-  if (credits) {
-    return binary ? run_saf<false, true, true, false>(core, ws, nullptr, obs)
-                  : run_saf<false, false, true, false>(core, ws, nullptr,
-                                                       obs);
-  }
-  return binary ? run_saf<false, true, false, false>(core, ws, nullptr, obs)
-                : run_saf<false, false, false, false>(core, ws, nullptr, obs);
+  return dispatch_policy<StoreAndForwardPolicy>(
+      *this, pattern, config, mask, workspace,
+      DisciplineShape{"Engine::run", 1,
+                      static_cast<double>(config.queue_capacity)});
 }
+
 
 }  // namespace mineq::sim

@@ -188,12 +188,13 @@ struct SimConfig {
   /// sweep-level thread count: exp::run_sweep divides its own pool by
   /// this value so sweep x sim threads never oversubscribes.
   std::size_t sim_threads = 1;
-  /// Observability collectors (obs/obs.hpp). All-defaults means "off"
-  /// and dispatches to the kObs=false policy instantiations — byte for
-  /// byte the historic code, pinned by the golden tests. Enabling any
-  /// collector is passive: simulation results are bit-identical either
-  /// way; the run additionally carries probes/flows/trace payloads and
-  /// the stall-cause split of hol_blocking_cycles.
+  /// Observability collectors (obs/obs.hpp). All-defaults means "off":
+  /// no Observer is built and every instrumented site's branch stays
+  /// untaken — byte for byte the historic results, pinned by the golden
+  /// tests. Enabling any collector is passive: simulation results are
+  /// bit-identical either way; the run additionally carries
+  /// probes/flows/trace payloads and the stall-cause split of
+  /// hol_blocking_cycles.
   obs::ObsConfig obs;
   /// The workload driving injection (workload/spec.hpp): the open-loop
   /// synthetic patterns (the default — byte-identical to the historic

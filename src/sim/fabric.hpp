@@ -494,7 +494,7 @@ class FabricCore {
   }
 
   /// Route closed-loop request→reply latencies into the observability
-  /// flow recorder's service channel (kObs + flow_stats runs only).
+  /// flow recorder's service channel (flow_stats runs only).
   void set_service_recorder(obs::FlowRecorder* recorder) {
     workload_->set_service_recorder(recorder);
   }

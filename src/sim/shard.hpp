@@ -50,8 +50,8 @@ namespace mineq::sim {
 struct SafEjectEvent {
   double latency = 0.0;
   unsigned sl = 0;  ///< service level (0 outside credit runs)
-  /// Flow identity for the observability recorders (0 when obs is off;
-  /// the replay only reads them on kObs instantiations).
+  /// Flow identity for the observability flow recorder (the replay only
+  /// reads them when an observer is attached).
   std::uint32_t src = 0;
   std::uint32_t dst = 0;
 };
@@ -83,9 +83,11 @@ struct alignas(64) ShardWorker {
   std::vector<workload::Delivery> wl_events;
   /// Wormhole per-VL buffered-flit partial (sample phase).
   std::vector<std::uint64_t> vl_flits;
-  /// This worker's observability sink (kObs instantiations only): set by
-  /// the policy's shard_eject each cycle, so the kernels never need the
-  /// worker index threaded through.
+  /// This worker's observability sink, or null when no observer is
+  /// attached: set by the policy's shard_eject each cycle, so the kernels
+  /// never need the worker index threaded through — each kernel reads it
+  /// once at entry (sim::kernel_log) and tests that local at every
+  /// instrumented site.
   obs::WorkerLog* obs_log = nullptr;
 };
 

@@ -1,15 +1,10 @@
 #include "sim/wormhole.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <stdexcept>
 #include <vector>
 
-#include "multipath/looping.hpp"
-#include "obs/observer.hpp"
-#include "sim/fabric.hpp"
 #include "sim/multipath_select.hpp"
-#include "sim/shard.hpp"
+#include "sim/policy.hpp"
 
 namespace mineq::sim {
 
@@ -20,138 +15,247 @@ namespace {
 /// a LanePool. The head flit claims an idle downstream lane and advances
 /// as soon as it wins output-port arbitration; body and tail flits follow
 /// through the reserved lane; the tail releases each lane as it passes.
-/// One flit crosses each link per cycle.
+/// One flit crosses each link per cycle. The bool axes are PolicyBase's
+/// (policy.hpp); for this discipline:
 ///
-/// \tparam kFaulted compile-time fault switch: the false instantiation
-/// is the byte-identical unmasked fast path; the true instantiation
-/// resolves every worm's out-port through the fault::FaultedWiring view
-/// when its head is accepted — following the schedule while its arc
-/// survives, detouring through the next surviving port otherwise, and
-/// marking the lane *dropping* when the switch is dead so the worm (and
-/// every flit still following its reservation) drains into the
-/// dropped-at-fault counters instead of wedging the buffer.
+/// \tparam kFaulted resolves every worm's out-port through the
+/// fault::FaultedWiring view when its head is accepted — following the
+/// schedule while its arc survives, detouring through the next surviving
+/// port otherwise, and marking the lane *dropping* when the switch is
+/// dead so the worm (and every flit still following its reservation)
+/// drains into the dropped-at-fault counters instead of wedging the
+/// buffer.
 ///
-/// \tparam kBinary compile-time radix-2 switch: radix() folds to the
-/// literal 2 so the binary instantiations keep the historic shift/mask
-/// code generation (see StoreAndForwardPolicy in engine.cpp).
+/// \tparam kCredits per-lane credits over a CreditLedger — one credit per
+/// downstream lane slot, consumed per flit accepted, returned per flit
+/// popped with the configured latency — plus the pluggable output-port
+/// arbitration. With a non-empty SL->VL map, worms travel in their fixed
+/// virtual lane vl_of_sl(sl) at every hop instead of claiming the first
+/// idle lane.
 ///
-/// \tparam kCredits compile-time flow-control switch: the false
-/// instantiation keeps the idealized handshake (senders probe downstream
-/// lane occupancy directly) byte for byte; the true instantiation runs
-/// per-lane credits over a CreditLedger — one credit per downstream lane
-/// slot, consumed per flit accepted, returned per flit popped with the
-/// configured latency — plus the pluggable output-port arbitration. With
-/// a non-empty SL->VL map, worms travel in their fixed virtual lane
-/// vl_of_sl(sl) at every hop instead of claiming the first idle lane.
+/// \tparam kMultiPath terminals are *logical* (the engine's
+/// MultiPathWiring view), a head resolves its next out-port by selecting
+/// within the fabric's equivalent-path group (free Benes connection,
+/// dilation group, injection plane) under the configured PathPolicy, and
+/// ejection arbitrates the planes * radix * lanes candidate lanes of each
+/// logical terminal.
 ///
-/// \tparam kMultiPath compile-time multipath switch: terminals are
-/// *logical* (the engine's MultiPathWiring view), a head resolves its
-/// next out-port by selecting within the fabric's equivalent-path group
-/// (free Benes connection, dilation group, injection plane) under the
-/// configured PathPolicy, and ejection arbitrates the planes * radix *
-/// lanes candidate lanes of each logical terminal. General-radix and
-/// credit-less: the binary and credit specializations never combine
-/// with it.
-///
-/// \tparam kObs compile-time observability switch — same contract as
-/// StoreAndForwardPolicy (engine.cpp): the false instantiation carries
-/// no telemetry code at all, the true one feeds an obs::Observer with
-/// per-stage probe counters (per-flit hops here), trace events keyed by
-/// (cycle, intra-cycle phase), flow records at tail ejection, and a
-/// StallCause per blocked lane-cycle attributed in the same account
-/// scan that counts hol_blocking_cycles.
-template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath,
-          bool kObs>
-class WormholePolicy {
-  static_assert(!(kMultiPath && (kBinary || kCredits)),
-                "multipath instantiations are general-radix and credit-less");
+/// With an observer, probe counters count per-flit hops, flow records
+/// land at tail ejection, and each blocked lane-cycle is attributed to
+/// one StallCause in the scan that counts hol_blocking_cycles.
+template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath>
+class WormholePolicy
+    : public PolicyBase<WormholePolicy<kFaulted, kBinary, kCredits,
+                                       kMultiPath>,
+                        kFaulted, kBinary, kCredits, kMultiPath> {
+  using Base = PolicyBase<WormholePolicy<kFaulted, kBinary, kCredits,
+                                         kMultiPath>,
+                          kFaulted, kBinary, kCredits, kMultiPath>;
+  friend Base;
+  using Base::core_, Base::radix_, Base::length_, Base::obs_,
+      Base::link_counter_, Base::shard_pool_delta_, Base::faulted_,
+      Base::credit_config_, Base::credits_, Base::service_levels_,
+      Base::credit_links_, Base::lradix_, Base::lcells_, Base::planes_,
+      Base::dilation_, Base::path_policy_, Base::looping_, Base::free_stage_;
+  using Base::radix, Base::arb_candidate, Base::arb_grant,
+      Base::record_delivery, Base::mark_stall, Base::clear_stall_causes,
+      Base::attribute_stall, Base::traced, Base::maybe_commit_probe,
+      Base::trace_inject, Base::trace_stage_cross, Base::trace_reroute,
+      Base::trace_eject, Base::eject_stall_phase, Base::drain_phase,
+      Base::advance_phase, Base::stall_phase, Base::inject_phase;
 
  public:
-  WormholePolicy(FabricCore& core, const EjectObserver& observer,
-                 SimWorkspace& workspace,
-                 [[maybe_unused]] const fault::FaultMask* mask,
-                 [[maybe_unused]] obs::Observer* obs,
-                 [[maybe_unused]] const multipath::LoopingSettings* looping =
-                     nullptr)
-      : core_(core),
+  WormholePolicy(const PolicyContext& ctx, const EjectObserver& observer)
+      : Base(ctx, lane_count(ctx.core),
+             static_cast<std::uint32_t>(ctx.core.config().lane_depth),
+             static_cast<unsigned>(
+                 static_cast<std::size_t>(ctx.core.wiring().radix()) *
+                 ctx.core.config().lanes),
+             lane_count(ctx.core)),
         observer_(observer),
-        radix_(static_cast<unsigned>(core.wiring().radix())),
-        lanes_(core.config().lanes),
-        length_(core.config().packet_length),
-        pool_(workspace.lane_pool(
-            static_cast<std::size_t>(core.stages()) * core.ports() * lanes_,
-            core.config().lane_depth)),
-        sources_(core.terminals()),
+        lanes_(ctx.core.config().lanes),
+        pool_(ctx.workspace.lane_pool(lane_count(ctx.core),
+                                      ctx.core.config().lane_depth)),
+        sources_(ctx.core.terminals()),
         // Physical lane slots: ports per stage (== terminals on a
         // unipath fabric, wider on a multipath one).
-        total_flit_slots_(static_cast<double>(core.stages()) *
-                          static_cast<double>(core.ports()) *
+        total_flit_slots_(static_cast<double>(ctx.core.stages()) *
+                          static_cast<double>(ctx.core.ports()) *
                           static_cast<double>(lanes_) *
-                          static_cast<double>(core.config().lane_depth)) {
-    if constexpr (kMultiPath) {
-      const Engine& engine = core.engine();
-      lradix_ = static_cast<unsigned>(engine.logical_radix());
-      lcells_ = engine.logical_cells();
-      planes_ = static_cast<unsigned>(engine.planes());
-      dilation_ = static_cast<unsigned>(engine.dilation());
-      path_policy_ = core.config().path_policy;
-      looping_ = looping;
-      free_stage_ = engine.fabric().free_stage().data();
-      core.result.paths_available = engine.fabric().paths_available();
-    }
-    if constexpr (kFaulted) {
-      faulted_ = fault::FaultedWiring(core.wiring(), *mask);
-      dropping_.assign(
-          static_cast<std::size_t>(core.stages()) * core.ports() * lanes_, 0);
-    }
-    if constexpr (kCredits) {
-      credit_config_ = &core.config().credits;
-      service_levels_ = credit_config_->service_levels();
-      credits_ = &workspace.credit_ledger(
-          static_cast<std::size_t>(core.stages()) * core.ports() * lanes_,
-          static_cast<std::uint32_t>(core.config().lane_depth),
-          credit_config_->return_latency);
-      if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
-        weighted_.reset(
-            static_cast<std::size_t>(core.stages()) * core.ports(),
-            static_cast<unsigned>(static_cast<std::size_t>(radix()) *
-                                  lanes_));
-      }
-      core.result.sl_latency.resize(service_levels_);
-    }
-    if constexpr (kObs) {
-      obs_ = obs;
-      // One StallCause slot per physical lane; advance kernels re-zero
-      // exactly the source-stage ranges they probe each cycle (last-stage
-      // lanes only ever stall on lost eject arbitration, cause 0).
-      stall_cause_.assign(
-          static_cast<std::size_t>(core.stages()) * core.ports() * lanes_, 0);
-    }
+                          static_cast<double>(ctx.core.config().lane_depth)) {
+    if constexpr (kFaulted) dropping_.assign(lane_count(core_), 0);
   }
 
-  /// Eject at the last stage: one flit per terminal port per cycle,
-  /// round-robin over the radix*lanes candidate lanes. Ejection links are
-  /// terminal attachments, not wiring arcs, so they cannot fault.
-  void eject(std::uint64_t cycle, bool measuring) {
+  /// Inject at the first stage: terminal t feeds slot t % r of cell
+  /// t / r, at most one flit per cycle. A terminal mid-packet keeps
+  /// serializing into the claimed lane; an idle terminal draws the
+  /// Bernoulli gate (bursty-OFF terminals skip the attempt) and its head
+  /// needs an idle lane or the packet is refused at the source.
+  void inject(std::uint64_t cycle, bool measuring) {
     if constexpr (kMultiPath) {
-      eject_multipath_impl<false>(cycle, measuring, 0, lcells_, nullptr);
+      inject_multipath(cycle, measuring);
       return;
     }
-    if constexpr (kCredits) credits_->deliver(cycle);
-    eject_impl<false>(cycle, measuring, 0, core_.cells(), nullptr);
+    // Injection is always a serial phase: log 0 is the sink in both
+    // drivers, keeping trace bytes thread-count invariant.
+    obs::WorkerLog* const log = kernel_log<false>(obs_, nullptr);
+    const unsigned r = radix();
+    for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
+      SourceState& src = sources_[t];
+      if (src.remaining > 0) {
+        const std::size_t l =
+            lane_index(0, t, static_cast<std::size_t>(src.lane));
+        bool room;
+        if constexpr (kCredits) {
+          room = credits_->available(l);
+          if (!room && measuring) {
+            ++core_.result.credit_stall_cycles;
+            if (log != nullptr) [[unlikely]] ++log->credit[0];
+          }
+        } else {
+          room = pool_.has_space(l);
+        }
+        if (room) {
+          pool_.accept(l, make_flit(src.id, src.dest,
+                                    static_cast<std::uint32_t>(t),
+                                    src.inject_cycle, src.next_index, length_,
+                                    src.sl, src.tag));
+          if constexpr (kCredits) credits_->consume(l);
+          ++src.next_index;
+          --src.remaining;
+          if (measuring) ++core_.result.flits_injected;
+        }
+        continue;  // the source link is busy with the current packet
+      }
+      if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
+      if (measuring) ++core_.result.offered;
+      [[maybe_unused]] unsigned sl = 0;
+      int lane;
+      if constexpr (kCredits) {
+        sl = static_cast<unsigned>(t % service_levels_);
+        if (!credit_config_->sl_map.empty()) {
+          // Fixed virtual lane per service level.
+          lane = static_cast<int>(credit_config_->vl_of_sl(sl));
+          if (!pool_.idle(lane_index(0, t, static_cast<std::size_t>(lane)))) {
+            continue;  // refused at source: its lane is held
+          }
+        } else {
+          lane = pool_.find_idle_lane(lane_index(0, t, 0), lanes_);
+          if (lane < 0) continue;  // refused at source
+        }
+        if (!credits_->available(
+                lane_index(0, t, static_cast<std::size_t>(lane)))) {
+          if (measuring) {
+            ++core_.result.credit_stall_cycles;
+            if (log != nullptr) [[unlikely]] ++log->credit[0];
+          }
+          continue;  // lane free, credits not returned yet
+        }
+      } else {
+        lane = pool_.find_idle_lane(lane_index(0, t, 0), lanes_);
+        if (lane < 0) continue;  // refused at source
+      }
+      const workload::Injection packet =
+          core_.draw(cycle, static_cast<std::uint32_t>(t));
+      const std::uint32_t dest = packet.dest;
+      const std::uint32_t id = next_packet_id_++;
+      accept_head<false>(lane_index(0, t, static_cast<std::size_t>(lane)),
+                         make_flit(id, dest, static_cast<std::uint32_t>(t),
+                                   cycle, 0, length_, sl, packet.tag),
+                         0, static_cast<std::uint32_t>(t / r),
+                         core_.engine().route_port(0, dest), measuring,
+                         nullptr, cycle, inject_phase());
+      if constexpr (kCredits) {
+        credits_->consume(lane_index(0, t, static_cast<std::size_t>(lane)));
+      }
+      core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
+      src.dest = dest;
+      src.id = id;
+      src.inject_cycle = cycle;
+      src.next_index = 1;
+      src.remaining = length_ - 1;
+      src.lane = lane;
+      src.sl = sl;
+      src.tag = packet.tag;
+      if (measuring) {
+        ++core_.result.injected;
+        ++core_.result.flits_injected;
+        if (log != nullptr) [[unlikely]] {
+          trace_inject(*log, cycle, static_cast<std::uint32_t>(t), dest);
+        }
+      }
+    }
   }
 
-  /// The eject kernel over cells [x0, x1). Sharded (kShard), every
-  /// order-sensitive sink — the observer call, the Welford latency adds,
-  /// the per-SL latency — defers into the worker's event buffer for the
-  /// serial-phase replay; order-independent counters accumulate into the
-  /// worker's partial.
+  [[nodiscard]] std::uint64_t buffered_flits() const {
+    return static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(pool_.occupied_flits()) +
+        shard_pool_delta_);
+  }
+
+  /// Worker 0 only: the order-sensitive occupancy adds over pool-wide
+  /// totals reconciled from the workers' deltas and per-VL counts.
+  void shard_sample_reduce(std::uint64_t cycle,
+                           const std::vector<ShardWorker>& workers) {
+    std::int64_t delta = 0;
+    for (const ShardWorker& wk : workers) delta += wk.pool_delta;
+    core_.result.lane_occupancy.add(
+        static_cast<double>(
+            static_cast<std::int64_t>(pool_.occupied_flits()) + delta) /
+        total_flit_slots_);
+    if constexpr (kCredits) {
+      if (core_.result.vl_occupancy.empty()) {
+        core_.result.vl_occupancy.resize(lanes_);
+      }
+      const double slots_per_vl =
+          total_flit_slots_ / static_cast<double>(lanes_);
+      for (std::size_t vl = 0; vl < lanes_; ++vl) {
+        std::uint64_t flits = 0;
+        for (const ShardWorker& wk : workers) flits += wk.vl_flits[vl];
+        core_.result.vl_occupancy[vl].add(static_cast<double>(flits) /
+                                          slots_per_vl);
+      }
+    }
+    maybe_commit_probe(cycle);
+  }
+
+ private:
+  /// Per-terminal injection state: the packet currently serializing into
+  /// the first stage (flits are materialized on the fly) and the lane
+  /// that worm claimed.
+  struct SourceState {
+    std::uint32_t dest = 0;
+    std::uint32_t id = 0;
+    std::uint64_t inject_cycle = 0;
+    std::size_t next_index = 0;
+    std::size_t remaining = 0;
+    int lane = -1;
+    unsigned sl = 0;  // service level of the serializing packet
+    unsigned tag = 0;  // workload tag carried by every flit of the packet
+    std::size_t port = 0;  // claimed physical input port (kMultiPath only)
+  };
+
+  /// Every physical lane of the fabric (the size of the pool, the credit
+  /// ledger and the per-lane scratch arrays).
+  [[nodiscard]] static std::size_t lane_count(const FabricCore& core) {
+    return static_cast<std::size_t>(core.stages()) * core.ports() *
+           core.config().lanes;
+  }
+
+  /// Eject at the last stage over cells [x0, x1): one flit per terminal
+  /// port per cycle, round-robin over the radix*lanes candidate lanes.
+  /// Ejection links are terminal attachments, not wiring arcs, so they
+  /// cannot fault. Sharded (kShard), every order-sensitive sink — the
+  /// observer call, the Welford latency adds, the per-SL latency —
+  /// defers into the worker's event buffer for the serial-phase replay;
+  /// order-independent counters accumulate into the worker's partial.
   template <bool kShard>
   void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t x0,
                   std::uint32_t x1, ShardWorker* wk) {
+    SimResult& res = shard_result<kShard>(core_, wk);
+    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
     const int last = core_.stages() - 1;
     const unsigned r = radix();
-    SimResult& res = shard_result<kShard>(wk);
     const unsigned candidates =
         static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
     for (std::uint32_t x = x0; x < x1; ++x) {
@@ -190,31 +294,8 @@ class WormholePolicy {
           const bool counted =
               measuring && flit.inject_cycle >= core_.config().warmup_cycles;
           if (counted) ++res.flits_delivered;
-          if constexpr (kObs) {
-            if (measuring) {
-              ++obs_log<kShard>(wk).hops[static_cast<std::size_t>(last)];
-            }
-            if (flit.inject_cycle >= core_.config().warmup_cycles &&
-                obs_->traced(static_cast<std::uint32_t>(flit.src),
-                             flit.inject_cycle)) {
-              // Follow the head: its eject closes the last stage slice;
-              // the tail's eject completes the packet.
-              if (flit.is_head()) {
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kStageEnd,
-                                   static_cast<std::uint8_t>(last), 0,
-                                   kEjectPhase);
-              }
-              if (flit.is_tail()) {
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kPacketEnd, 0, 0,
-                                   kEjectPhase);
-              }
-            }
+          if (log != nullptr) [[unlikely]] {
+            trace_flit_eject(*log, measuring, cycle, flit);
           }
           if constexpr (kFaulted) {
             // A detoured worm ejects at whatever terminal the surviving
@@ -224,82 +305,34 @@ class WormholePolicy {
               ++res.packets_misdelivered;
             }
           }
-          if (flit.is_tail() && core_.wants_deliveries()) {
-            // Tail ejection completes the packet: feed the workload
-            // source, warmup included (see workload::Delivery). Built
-            // here because the ejection terminal is not derivable from
-            // the flit alone on faulted detours.
-            const workload::Delivery delivery{
-                static_cast<std::uint32_t>(flit.src), flit.dest_terminal,
-                x * r + port, flit.inject_cycle, cycle + 1,
-                static_cast<std::uint8_t>(flit.tag), counted};
-            if constexpr (kShard) {
-              wk->wl_events.push_back(delivery);
-            } else {
-              core_.workload_delivered(delivery);
-            }
-          }
-          if constexpr (kShard) {
-            // Defer for the replay: every flit if an observer watches,
-            // else just the tails that complete a measured delivery.
-            if (observer_ || (counted && flit.is_tail())) {
-              wk->wh_events.push_back(flit);
-            }
-          } else {
-            if (observer_) observer_(flit, cycle);
-            if (counted && flit.is_tail()) {
-              const double latency =
-                  static_cast<double>(cycle - flit.inject_cycle + 1);
-              core_.record_packet_delivered(latency);
-              if constexpr (kCredits) {
-                core_.result.sl_latency[static_cast<unsigned>(flit.sl)].add(
-                    latency);
-              }
-              if constexpr (kObs) {
-                if (obs_->flows_on()) {
-                  obs_->record_flow(static_cast<std::uint32_t>(flit.src),
-                                    flit.dest_terminal,
-                                    static_cast<unsigned>(flit.sl), latency);
-                }
-              }
-            }
-          }
+          complete_eject<kShard>(flit, x * r + port, cycle, counted, wk);
           break;
         }
       }
     }
     const std::size_t first = lane_index(last, 0, 0);
-    account_stage<kShard>(cycle, measuring,
-                          first + static_cast<std::size_t>(x0) * r * lanes_,
-                          first + static_cast<std::size_t>(x1) * r * lanes_,
-                          wk, last, eject_stall_phase(0));
+    account_stage(cycle, measuring,
+                  first + static_cast<std::size_t>(x0) * r * lanes_,
+                  first + static_cast<std::size_t>(x1) * r * lanes_, res, log,
+                  last, eject_stall_phase(0));
   }
 
-  /// Advance one switch stage: one flit per output link per cycle; heads
-  /// claim an idle downstream lane, body/tail flits follow the
-  /// reservation. The next stage's routing-schedule reads (and, faulted,
-  /// the mask probes) are hoisted to per-stage registers — see
-  /// StoreAndForwardPolicy::advance_stage for the aliasing rationale.
-  void advance_stage(int s, [[maybe_unused]] std::uint64_t cycle,
-                     bool measuring) {
-    if constexpr (kMultiPath) {
-      advance_stage_multipath_impl<false>(s, cycle, measuring, 0,
-                                          core_.cells(), nullptr);
-      return;
-    }
-    advance_stage_impl<false>(s, cycle, measuring, 0, core_.cells(), nullptr);
-  }
-
-  /// The advance kernel over cells [x0, x1) of stage \p s. Safe to shard
-  /// by cell ranges: a worker pushes only into stage-(s+1) lanes reached
-  /// through its own cells' arcs, and the perfect-matching property makes
-  /// each of those lanes single-writer for the whole phase.
+  /// Advance stage \p s over cells [x0, x1): one flit per output link
+  /// per cycle; heads claim an idle downstream lane, body/tail flits
+  /// follow the reservation. Safe to shard by cell ranges: a worker
+  /// pushes only into stage-(s+1) lanes reached through its own cells'
+  /// arcs, and the perfect-matching property makes each of those lanes
+  /// single-writer for the whole phase. The next stage's routing-schedule
+  /// reads (and, faulted, the mask probes) are hoisted to per-stage
+  /// registers — see StoreAndForwardPolicy::advance_stage_impl for the
+  /// aliasing rationale.
   template <bool kShard>
-  void advance_stage_impl(int s, [[maybe_unused]] std::uint64_t cycle,
-                          bool measuring, std::uint32_t x0, std::uint32_t x1,
+  void advance_stage_impl(int s, std::uint64_t cycle, bool measuring,
+                          std::uint32_t x0, std::uint32_t x1,
                           ShardWorker* wk) {
+    SimResult& res = shard_result<kShard>(core_, wk);
+    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
     const unsigned r = radix();
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(wk);
     const auto down = core_.wiring().down_stage(s);
     // Routing constants for the target stage s + 1, where an advancing
     // head resolves its next out-port (ejection port when s + 1 is the
@@ -341,19 +374,14 @@ class WormholePolicy {
       arc_base = static_cast<std::size_t>(s) * core_.ports();
       mask = &faulted_.mask();
     }
-    if constexpr (kObs) {
-      // Stall causes default to lost-arbitration; the probe loop below
-      // overwrites the specific causes it detects.
-      const std::size_t sfirst = lane_index(s, 0, 0);
-      std::fill(
-          stall_cause_.begin() + sfirst + static_cast<std::size_t>(x0) * r *
-                                              lanes_,
-          stall_cause_.begin() + sfirst + static_cast<std::size_t>(x1) * r *
-                                              lanes_,
-          0);
+    if (log != nullptr) [[unlikely]] {
+      const std::size_t first = lane_index(s, 0, 0);
+      clear_stall_causes(first + static_cast<std::size_t>(x0) * r * lanes_,
+                         first + static_cast<std::size_t>(x1) * r * lanes_);
     }
     const unsigned candidates =
         static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
+    std::uint64_t moves = 0;  // flits that left stage s this cycle
     for (std::uint32_t x = x0; x < x1; ++x) {
       for (unsigned port = 0; port < r; ++port) {
         if constexpr (kFaulted) {
@@ -403,18 +431,16 @@ class WormholePolicy {
                 down_lane = static_cast<int>(vl);
                 if (!pool_.idle(target_first +
                                 static_cast<std::size_t>(down_lane))) {
-                  if constexpr (kObs) {
-                    stall_cause_[l] = static_cast<std::uint8_t>(
-                        obs::StallCause::kNoFreeLane);
+                  if (log != nullptr) [[unlikely]] {
+                    mark_stall(l, obs::StallCause::kNoFreeLane);
                   }
                   continue;  // blocked: its lane is held by another worm
                 }
               } else {
                 down_lane = pool_.find_idle_lane(target_first, lanes_);
                 if (down_lane < 0) {
-                  if constexpr (kObs) {
-                    stall_cause_[l] = static_cast<std::uint8_t>(
-                        obs::StallCause::kNoFreeLane);
+                  if (log != nullptr) [[unlikely]] {
+                    mark_stall(l, obs::StallCause::kNoFreeLane);
                   }
                   continue;  // blocked: no free lane
                 }
@@ -422,24 +448,14 @@ class WormholePolicy {
               if (!credits_->available(
                       target_first + static_cast<std::size_t>(down_lane))) {
                 // Lane is free but its credits have not returned yet.
-                if (measuring) {
-                  ++res.credit_stall_cycles;
-                  if constexpr (kObs) {
-                    ++obs_log<kShard>(wk).credit[static_cast<std::size_t>(s)];
-                  }
-                }
-                if constexpr (kObs) {
-                  stall_cause_[l] = static_cast<std::uint8_t>(
-                      obs::StallCause::kZeroCredits);
-                }
+                credit_stall(res, log, l, s, measuring);
                 continue;
               }
             } else {
               down_lane = pool_.find_idle_lane(target_first, lanes_);
               if (down_lane < 0) {
-                if constexpr (kObs) {
-                  stall_cause_[l] = static_cast<std::uint8_t>(
-                      obs::StallCause::kNoFreeLane);
+                if (log != nullptr) [[unlikely]] {
+                  mark_stall(l, obs::StallCause::kNoFreeLane);
                 }
                 continue;  // blocked: no free lane
               }
@@ -451,23 +467,8 @@ class WormholePolicy {
                 target_first + static_cast<std::size_t>(down_lane), flit,
                 s + 1, record / r, route_next(flit.dest_terminal), measuring,
                 wk, cycle, advance_phase(s));
-            if constexpr (kObs) {
-              if (flit.inject_cycle >= core_.config().warmup_cycles &&
-                  obs_->traced(static_cast<std::uint32_t>(flit.src),
-                               flit.inject_cycle)) {
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kStageEnd,
-                                   static_cast<std::uint8_t>(s), 0,
-                                   advance_phase(s));
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kStageBegin,
-                                   static_cast<std::uint8_t>(s + 1), 0,
-                                   advance_phase(s));
-              }
+            if (log != nullptr) [[unlikely]] {
+              trace_flit_cross(*log, s, cycle, flit);
             }
             if constexpr (kCredits) {
               credits_->consume(target_first +
@@ -479,16 +480,7 @@ class WormholePolicy {
                 target_first + static_cast<std::size_t>(pool_.downstream(l));
             if constexpr (kCredits) {
               if (!credits_->available(down_l)) {
-                if (measuring) {
-                  ++res.credit_stall_cycles;
-                  if constexpr (kObs) {
-                    ++obs_log<kShard>(wk).credit[static_cast<std::size_t>(s)];
-                  }
-                }
-                if constexpr (kObs) {
-                  stall_cause_[l] = static_cast<std::uint8_t>(
-                      obs::StallCause::kZeroCredits);
-                }
+                credit_stall(res, log, l, s, measuring);
                 continue;
               }
               shard_accept<kShard>(down_l, shard_pop<kShard>(l, wk), wk);
@@ -496,9 +488,8 @@ class WormholePolicy {
               credits_->consume(down_l);
             } else {
               if (!pool_.has_space(down_l)) {
-                if constexpr (kObs) {
-                  stall_cause_[l] = static_cast<std::uint8_t>(
-                      obs::StallCause::kDownstreamFull);
+                if (log != nullptr) [[unlikely]] {
+                  mark_stall(l, obs::StallCause::kDownstreamFull);
                 }
                 continue;  // blocked: full
               }
@@ -506,144 +497,29 @@ class WormholePolicy {
             }
           }
           arb_grant(s, x * r + port, c, vl);
-          if (measuring) {
-            shard_link_counter<kShard>(wk);
-            if constexpr (kObs) {
-              ++obs_log<kShard>(wk).hops[static_cast<std::size_t>(s)];
-            }
-          }
+          ++moves;
           break;
         }
       }
     }
+    if (measuring) count_hops<kShard>(s, moves, log, wk);
+    // Recomputed rather than kept live across the loop above: one more
+    // register held through the probe loop costs the hot path measurably.
     const std::size_t first = lane_index(s, 0, 0);
-    account_stage<kShard>(cycle, measuring,
-                          first + static_cast<std::size_t>(x0) * r * lanes_,
-                          first + static_cast<std::size_t>(x1) * r * lanes_,
-                          wk, s, stall_phase(s));
+    account_stage(cycle, measuring,
+                  first + static_cast<std::size_t>(x0) * r * lanes_,
+                  first + static_cast<std::size_t>(x1) * r * lanes_, res, log,
+                  s, stall_phase(s));
   }
 
-  /// Inject at the first stage: terminal t feeds slot t % r of cell
-  /// t / r, at most one flit per cycle. A terminal mid-packet keeps
-  /// serializing into the claimed lane; an idle terminal draws the
-  /// Bernoulli gate (bursty-OFF terminals skip the attempt) and its head
-  /// needs an idle lane or the packet is refused at the source.
-  void inject(std::uint64_t cycle, bool measuring) {
-    if constexpr (kMultiPath) {
-      inject_multipath(cycle, measuring);
-      return;
-    }
-    const unsigned r = radix();
-    for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
-      SourceState& src = sources_[t];
-      if (src.remaining > 0) {
-        const std::size_t l =
-            lane_index(0, t, static_cast<std::size_t>(src.lane));
-        bool room;
-        if constexpr (kCredits) {
-          room = credits_->available(l);
-          if (!room && measuring) {
-            ++core_.result.credit_stall_cycles;
-            if constexpr (kObs) ++obs_->log(0).credit[0];
-          }
-        } else {
-          room = pool_.has_space(l);
-        }
-        if (room) {
-          pool_.accept(l, make_flit(src.id, src.dest,
-                                    static_cast<std::uint32_t>(t),
-                                    src.inject_cycle, src.next_index, length_,
-                                    src.sl, src.tag));
-          if constexpr (kCredits) credits_->consume(l);
-          ++src.next_index;
-          --src.remaining;
-          if (measuring) ++core_.result.flits_injected;
-        }
-        continue;  // the source link is busy with the current packet
-      }
-      if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
-      if (measuring) ++core_.result.offered;
-      [[maybe_unused]] unsigned sl = 0;
-      int lane;
-      if constexpr (kCredits) {
-        sl = static_cast<unsigned>(t % service_levels_);
-        if (!credit_config_->sl_map.empty()) {
-          // Fixed virtual lane per service level.
-          lane = static_cast<int>(credit_config_->vl_of_sl(sl));
-          if (!pool_.idle(lane_index(0, t, static_cast<std::size_t>(lane)))) {
-            continue;  // refused at source: its lane is held
-          }
-        } else {
-          lane = pool_.find_idle_lane(lane_index(0, t, 0), lanes_);
-          if (lane < 0) continue;  // refused at source
-        }
-        if (!credits_->available(
-                lane_index(0, t, static_cast<std::size_t>(lane)))) {
-          if (measuring) {
-            ++core_.result.credit_stall_cycles;
-            if constexpr (kObs) ++obs_->log(0).credit[0];
-          }
-          continue;  // lane free, credits not returned yet
-        }
-      } else {
-        lane = pool_.find_idle_lane(lane_index(0, t, 0), lanes_);
-        if (lane < 0) continue;  // refused at source
-      }
-      const workload::Injection packet =
-          core_.draw(cycle, static_cast<std::uint32_t>(t));
-      const std::uint32_t dest = packet.dest;
-      const std::uint32_t id = next_packet_id_++;
-      accept_head<false>(lane_index(0, t, static_cast<std::size_t>(lane)),
-                         make_flit(id, dest, static_cast<std::uint32_t>(t),
-                                   cycle, 0, length_, sl, packet.tag),
-                         0, static_cast<std::uint32_t>(t / r),
-                         core_.engine().route_port(0, dest), measuring,
-                         nullptr, cycle, inject_phase());
-      if constexpr (kCredits) {
-        credits_->consume(lane_index(0, t, static_cast<std::size_t>(lane)));
-      }
-      core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
-      src.dest = dest;
-      src.id = id;
-      src.inject_cycle = cycle;
-      src.next_index = 1;
-      src.remaining = length_ - 1;
-      src.lane = lane;
-      src.sl = sl;
-      src.tag = packet.tag;
-      if (measuring) {
-        ++core_.result.injected;
-        ++core_.result.flits_injected;
-        if constexpr (kObs) {
-          // Injection is always a serial phase: log 0 is the sink in
-          // both drivers, keeping trace bytes thread-count invariant.
-          if (obs_->traced(static_cast<std::uint32_t>(t), cycle)) {
-            trace_push<false>(nullptr, cycle, cycle,
-                              static_cast<std::uint32_t>(t), dest,
-                              obs::TraceEventKind::kPacketBegin, 0, 0,
-                              inject_phase());
-            trace_push<false>(nullptr, cycle, cycle,
-                              static_cast<std::uint32_t>(t), dest,
-                              obs::TraceEventKind::kStageBegin, 0, 0,
-                              inject_phase());
-          }
-        }
-      }
-    }
-  }
-
-  /// Sample buffer occupancy (measured cycles only). Credit runs also
-  /// audit the conservation invariant every sampled cycle — per lane,
-  /// credits held + credit messages in flight + flits buffered must
-  /// equal the lane depth exactly — and sample occupancy per virtual
-  /// lane so weighted/priority sweeps can see the VL partition directly.
-  void sample(std::uint64_t cycle) { sample_impl<false>(cycle, 0, 1, nullptr); }
-
-  /// The sample kernel over worker \p w's share of the lane links.
-  /// Sharded, the occupancy adds (order-sensitive Welford updates over
-  /// the pool-wide totals) are left to shard_sample_reduce; this only
-  /// audits the credit invariant and counts per-VL flits into the
-  /// worker's buffers.
+  /// The sample kernel. Credit runs audit the conservation invariant
+  /// every sampled cycle — per lane, credits held + credit messages in
+  /// flight + flits buffered must equal the lane depth exactly — and
+  /// sample occupancy per virtual lane so weighted/priority sweeps can
+  /// see the VL partition directly. Sharded, the occupancy adds
+  /// (order-sensitive Welford updates over the pool-wide totals) are left
+  /// to shard_sample_reduce; worker \p w only audits its share of the
+  /// lane links and counts per-VL flits into its buffers.
   template <bool kShard>
   void sample_impl([[maybe_unused]] std::uint64_t cycle,
                    [[maybe_unused]] std::size_t w,
@@ -654,8 +530,6 @@ class WormholePolicy {
           static_cast<double>(pool_.occupied_flits()) / total_flit_slots_);
     }
     if constexpr (kCredits) {
-      const std::size_t lane_links =
-          static_cast<std::size_t>(core_.stages()) * core_.ports() * lanes_;
       const std::uint64_t depth = credits_->capacity();
       if constexpr (!kShard) {
         // Sharded runs defer this lazy resize to shard_sample_reduce —
@@ -665,15 +539,15 @@ class WormholePolicy {
         }
       }
       std::size_t lo = 0;
-      std::size_t hi = lane_links;
+      std::size_t hi = credit_links_;
       std::vector<std::uint64_t>* vl_flits = &vl_flits_;
       if constexpr (kShard) {
-        const auto range = shard_range(lane_links, w, n);
+        const auto range = shard_range(credit_links_, w, n);
         lo = range.first;
         hi = range.second;
         vl_flits = &wk->vl_flits;
       }
-      SimResult& res = shard_result<kShard>(wk);
+      SimResult& res = shard_result<kShard>(core_, wk);
       vl_flits->assign(lanes_, 0);
       for (std::size_t l = lo; l < hi; ++l) {
         const std::uint64_t held = credits_->credits(l);
@@ -692,177 +566,109 @@ class WormholePolicy {
         }
       }
     }
-    if constexpr (kObs && !kShard) {
-      if (obs_->want_probe(cycle)) commit_probe_window(cycle);
-    }
+    if constexpr (!kShard) maybe_commit_probe(cycle);
   }
 
-  [[nodiscard]] std::uint64_t buffered_flits() const {
-    return static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(pool_.occupied_flits()) +
-        shard_pool_delta_);
-  }
-  [[nodiscard]] std::uint64_t link_counter() const { return link_flit_hops_; }
-
-  // ------------------------------------------------ sharded-driver seam
-  // (see run_switched_sharded in shard.hpp for the phase schedule)
-
-  /// Credit runs harvest the return ring as a dedicated phase: give_back
-  /// writes the very slot deliver reads for the same cycle, so harvest
-  /// must finish fabric-wide before any kernel returns a credit.
-  static constexpr bool kShardNeedsDeliver = kCredits;
-
-  void shard_deliver(std::uint64_t cycle, std::size_t w, std::size_t n) {
-    if constexpr (kCredits) {
-      const std::size_t lane_links =
-          static_cast<std::size_t>(core_.stages()) * core_.ports() * lanes_;
-      const auto range = shard_range(lane_links, w, n);
-      credits_->deliver_range(cycle, range.first, range.second);
-    }
-  }
-
-  void shard_eject(std::uint64_t cycle, bool measuring, std::size_t w,
-                   std::size_t n, ShardWorker& wk) {
-    if constexpr (kObs) wk.obs_log = &obs_->log(w);
-    if constexpr (kMultiPath) {
-      const auto range = shard_range(lcells_, w, n);
-      eject_multipath_impl<true>(cycle, measuring,
-                                 static_cast<std::uint32_t>(range.first),
-                                 static_cast<std::uint32_t>(range.second),
-                                 &wk);
-    } else {
-      const auto range = shard_range(core_.cells(), w, n);
-      eject_impl<true>(cycle, measuring,
-                       static_cast<std::uint32_t>(range.first),
-                       static_cast<std::uint32_t>(range.second), &wk);
-    }
-  }
-
-  void shard_advance(int s, std::uint64_t cycle, bool measuring,
-                     std::size_t w, std::size_t n, ShardWorker& wk) {
-    const auto range = shard_range(core_.cells(), w, n);
-    if constexpr (kMultiPath) {
-      advance_stage_multipath_impl<true>(
-          s, cycle, measuring, static_cast<std::uint32_t>(range.first),
-          static_cast<std::uint32_t>(range.second), &wk);
-    } else {
-      advance_stage_impl<true>(s, cycle, measuring,
-                               static_cast<std::uint32_t>(range.first),
-                               static_cast<std::uint32_t>(range.second),
-                               &wk);
-    }
-  }
-
-  /// Worker 0 only: replay the deferred ejections in ascending-worker
-  /// order (== ascending cell order == the serial iteration order), then
-  /// run the inherently serial injection front end.
-  void shard_serial(std::uint64_t cycle, bool measuring,
-                    std::vector<ShardWorker>& workers) {
-    for (ShardWorker& wk : workers) {
-      for (const Flit& flit : wk.wh_events) {
-        if (observer_) observer_(flit, cycle);
-        if (measuring &&
-            flit.inject_cycle >= core_.config().warmup_cycles &&
-            flit.is_tail()) {
-          const double latency =
-              static_cast<double>(cycle - flit.inject_cycle + 1);
-          core_.record_packet_delivered(latency);
-          if constexpr (kCredits) {
-            core_.result.sl_latency[static_cast<unsigned>(flit.sl)].add(
-                latency);
-          }
-          if constexpr (kObs) {
-            if (obs_->flows_on()) {
-              obs_->record_flow(static_cast<std::uint32_t>(flit.src),
-                                flit.dest_terminal,
-                                static_cast<unsigned>(flit.sl), latency);
-            }
-          }
-        }
-      }
-      wk.wh_events.clear();
-      for (const workload::Delivery& delivery : wk.wl_events) {
-        core_.workload_delivered(delivery);
-      }
-      wk.wl_events.clear();
-    }
-    core_.workload_tick(cycle, measuring);
-    inject(cycle, measuring);
-  }
-
-  void shard_sample(std::uint64_t cycle, std::size_t w, std::size_t n,
-                    ShardWorker& wk) {
-    sample_impl<true>(cycle, w, n, &wk);
-  }
-
-  /// Worker 0 only: the order-sensitive occupancy adds over pool-wide
-  /// totals reconciled from the workers' deltas and per-VL counts.
-  void shard_sample_reduce([[maybe_unused]] std::uint64_t cycle,
-                           std::vector<ShardWorker>& workers) {
-    std::int64_t delta = 0;
-    for (const ShardWorker& wk : workers) delta += wk.pool_delta;
-    core_.result.lane_occupancy.add(
-        static_cast<double>(
-            static_cast<std::int64_t>(pool_.occupied_flits()) + delta) /
-        total_flit_slots_);
-    if constexpr (kCredits) {
-      if (core_.result.vl_occupancy.empty()) {
-        core_.result.vl_occupancy.resize(lanes_);
-      }
-      const double slots_per_vl =
-          total_flit_slots_ / static_cast<double>(lanes_);
-      for (std::size_t vl = 0; vl < lanes_; ++vl) {
-        std::uint64_t flits = 0;
-        for (const ShardWorker& wk : workers) flits += wk.vl_flits[vl];
-        core_.result.vl_occupancy[vl].add(static_cast<double>(flits) /
-                                          slots_per_vl);
+  /// Worker 0's replay of one worker's deferred ejections, in that
+  /// worker's range order.
+  void replay_ejections(ShardWorker& wk, std::uint64_t cycle,
+                        bool measuring) {
+    for (const Flit& flit : wk.wh_events) {
+      if (observer_) observer_(flit, cycle);
+      if (measuring &&
+          flit.inject_cycle >= core_.config().warmup_cycles &&
+          flit.is_tail()) {
+        record_flit_delivery(flit, cycle);
       }
     }
-    if constexpr (kObs) {
-      if (obs_->want_probe(cycle)) commit_probe_window(cycle);
+    wk.wh_events.clear();
+  }
+
+  [[nodiscard]] HeadPacket head_packet(std::size_t l) const {
+    const Flit& flit = pool_.front(l);
+    return {static_cast<std::uint64_t>(flit.inject_cycle),
+            static_cast<std::uint32_t>(flit.src), flit.dest_terminal};
+  }
+
+  [[nodiscard]] std::uint32_t port_occupancy(int s, std::size_t port) const {
+    std::uint32_t flits = 0;
+    for (std::size_t ln = 0; ln < lanes_; ++ln) {
+      flits += pool_.count(lane_index(s, port, ln));
+    }
+    return flits;
+  }
+
+  /// A flit whose downstream lane is out of credits stays put.
+  void credit_stall(SimResult& res, obs::WorkerLog* log, std::size_t l,
+                    int s, bool measuring) {
+    if (measuring) {
+      ++res.credit_stall_cycles;
+      if (log != nullptr) [[unlikely]] {
+        ++log->credit[static_cast<std::size_t>(s)];
+      }
+    }
+    if (log != nullptr) [[unlikely]] {
+      mark_stall(l, obs::StallCause::kZeroCredits);
     }
   }
 
-  /// Sum every worker's order-independent partial into the core result.
-  void shard_finish(std::vector<ShardWorker>& workers) {
-    for (const ShardWorker& wk : workers) {
-      const SimResult& p = wk.partial;
-      core_.result.flits_delivered += p.flits_delivered;
-      core_.result.hol_blocking_cycles += p.hol_blocking_cycles;
-      core_.result.credit_stall_cycles += p.credit_stall_cycles;
-      core_.result.credit_violations += p.credit_violations;
-      core_.result.packets_dropped_faulted += p.packets_dropped_faulted;
-      core_.result.flits_dropped_faulted += p.flits_dropped_faulted;
-      core_.result.packets_rerouted += p.packets_rerouted;
-      core_.result.packets_misdelivered += p.packets_misdelivered;
-      core_.result.path_reroutes += p.path_reroutes;
-      core_.result.stall_lost_arbitration += p.stall_lost_arbitration;
-      core_.result.stall_downstream_full += p.stall_downstream_full;
-      core_.result.stall_no_free_lane += p.stall_no_free_lane;
-      core_.result.stall_zero_credits += p.stall_zero_credits;
-      core_.result.stall_masked_arc += p.stall_masked_arc;
-      link_flit_hops_ += wk.link_counter;
-      shard_pool_delta_ += wk.pool_delta;
-    }
-  }
-
- private:
-  /// The destination of every order-independent counter: the worker's
-  /// partial when sharded, the core result when serial.
+  /// The tail of every ejection: feed the workload source (tails only,
+  /// warmup included — see workload::Delivery) and the order-sensitive
+  /// sinks, deferred for worker 0's replay when sharded. Every flit is
+  /// deferred if an eject observer watches, else just the tails that
+  /// complete a measured delivery. The delivery is built here because
+  /// the ejection \p terminal is not derivable from the flit alone on
+  /// faulted detours.
   template <bool kShard>
-  [[nodiscard]] SimResult& shard_result(ShardWorker* wk) {
-    if constexpr (kShard) {
-      return wk->partial;
-    } else {
-      return core_.result;
+  void complete_eject(const Flit& flit, std::uint32_t terminal,
+                      std::uint64_t cycle, bool counted,
+                      [[maybe_unused]] ShardWorker* wk) {
+    if (flit.is_tail() && core_.wants_deliveries()) {
+      hand_delivery<kShard>(
+          core_, wk,
+          workload::Delivery{static_cast<std::uint32_t>(flit.src),
+                             flit.dest_terminal, terminal, flit.inject_cycle,
+                             cycle + 1, static_cast<std::uint8_t>(flit.tag),
+                             counted});
     }
+    if constexpr (kShard) {
+      if (observer_ || (counted && flit.is_tail())) {
+        wk->wh_events.push_back(flit);
+      }
+    } else {
+      if (observer_) observer_(flit, cycle);
+      if (counted && flit.is_tail()) record_flit_delivery(flit, cycle);
+    }
+  }
+
+  void record_flit_delivery(const Flit& flit, std::uint64_t cycle) {
+    record_delivery(static_cast<double>(cycle - flit.inject_cycle + 1),
+                    static_cast<unsigned>(flit.sl),
+                    static_cast<std::uint32_t>(flit.src), flit.dest_terminal);
+  }
+
+  /// A flit left the last stage (observability runs only).
+  void trace_flit_eject(obs::WorkerLog& log, bool measuring,
+                        std::uint64_t cycle, const Flit& flit) {
+    if (measuring) ++log.hops[static_cast<std::size_t>(core_.stages() - 1)];
+    trace_eject(log, cycle, flit.inject_cycle,
+                static_cast<std::uint32_t>(flit.src), flit.dest_terminal,
+                flit.is_head(), flit.is_tail());
+  }
+
+  /// A head flit crossed from stage \p s into s + 1.
+  void trace_flit_cross(obs::WorkerLog& log, int s, std::uint64_t cycle,
+                        const Flit& flit) {
+    trace_stage_cross(log, s, cycle, flit.inject_cycle,
+                      static_cast<std::uint32_t>(flit.src),
+                      flit.dest_terminal);
   }
 
   /// Pool mutations: uncounted + per-worker delta when sharded (the
   /// occupied_ total would be a shared write on the hot path), the
   /// counted originals — byte-identical codegen — when serial.
   template <bool kShard>
-  Flit shard_pop(std::size_t l, ShardWorker* wk) {
+  Flit shard_pop(std::size_t l, [[maybe_unused]] ShardWorker* wk) {
     if constexpr (kShard) {
       --wk->pool_delta;
       return pool_.pop_unc(l);
@@ -872,7 +678,8 @@ class WormholePolicy {
   }
 
   template <bool kShard>
-  void shard_accept(std::size_t l, const Flit& flit, ShardWorker* wk) {
+  void shard_accept(std::size_t l, const Flit& flit,
+                    [[maybe_unused]] ShardWorker* wk) {
     if constexpr (kShard) {
       ++wk->pool_delta;
       pool_.accept_unc(l, flit);
@@ -883,7 +690,7 @@ class WormholePolicy {
 
   template <bool kShard>
   void shard_accept_head(std::size_t l, const Flit& head, unsigned out_port,
-                         ShardWorker* wk) {
+                         [[maybe_unused]] ShardWorker* wk) {
     if constexpr (kShard) {
       ++wk->pool_delta;
       pool_.accept_head_unc(l, head, out_port);
@@ -892,57 +699,40 @@ class WormholePolicy {
     }
   }
 
-  /// Measured flit-hops: the worker's share when sharded.
+  /// Add one advance kernel's \p moves flit-hops out of stage \p s to
+  /// the link counter (the worker's share when sharded) and, observed,
+  /// to the stage's probe counter. Measured cycles only.
   template <bool kShard>
-  void shard_link_counter(ShardWorker* wk) {
+  void count_hops(int s, std::uint64_t moves, obs::WorkerLog* log,
+                  [[maybe_unused]] ShardWorker* wk) {
     if constexpr (kShard) {
-      ++wk->link_counter;
+      wk->link_counter += moves;
     } else {
-      ++link_flit_hops_;
+      link_counter_ += moves;
     }
-  }
-  /// Per-terminal injection state: the packet currently serializing into
-  /// the first stage (flits are materialized on the fly) and the lane
-  /// that worm claimed.
-  struct SourceState {
-    std::uint32_t dest = 0;
-    std::uint32_t id = 0;
-    std::uint64_t inject_cycle = 0;
-    std::size_t next_index = 0;
-    std::size_t remaining = 0;
-    int lane = -1;
-    unsigned sl = 0;  // service level of the serializing packet
-    unsigned tag = 0;  // workload tag carried by every flit of the packet
-    std::size_t port = 0;  // claimed physical input port (kMultiPath only)
-  };
-
-  /// The radix, folded to the literal 2 in the binary instantiations.
-  [[nodiscard]] unsigned radix() const noexcept {
-    if constexpr (kBinary) {
-      return 2U;
-    } else {
-      return radix_;
+    if (log != nullptr) [[unlikely]] {
+      log->hops[static_cast<std::size_t>(s)] += moves;
     }
   }
 
-  /// Multipath ejection: logical terminal lx * lr + j arbitrates over
-  /// the planes * radix * lanes last-stage lanes of its logical cell (a
-  /// worm may arrive on any arc of its dilation group and in any
-  /// plane), one flit per terminal per cycle, per-terminal round-robin
-  /// so no plane starves.
-  /// The multipath eject kernel over logical cells [lx0, lx1): a logical
-  /// cell's candidate lanes live at the same offset of every plane, so a
+  /// Multipath ejection over logical cells [lx0, lx1): logical terminal
+  /// lx * lr + j arbitrates over the planes * radix * lanes last-stage
+  /// lanes of its logical cell (a worm may arrive on any arc of its
+  /// dilation group and in any plane), one flit per terminal per cycle,
+  /// per-terminal round-robin so no plane starves. A logical cell's
+  /// candidate lanes live at the same offset of every plane, so a
   /// logical-cell range owns planes_ disjoint physical runs — still
   /// single-writer under sharding.
   template <bool kShard>
   void eject_multipath_impl(std::uint64_t cycle, bool measuring,
                             std::uint32_t lx0, std::uint32_t lx1,
                             ShardWorker* wk) {
+    SimResult& res = shard_result<kShard>(core_, wk);
+    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
     const int last = core_.stages() - 1;
     const unsigned r = radix_;
     const unsigned candidates = static_cast<unsigned>(
         static_cast<std::size_t>(planes_) * r * lanes_);
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(wk);
     for (std::uint32_t lx = lx0; lx < lx1; ++lx) {
       for (unsigned j = 0; j < lradix_; ++j) {
         const std::size_t term =
@@ -965,29 +755,8 @@ class WormholePolicy {
           const bool counted =
               measuring && flit.inject_cycle >= core_.config().warmup_cycles;
           if (counted) ++res.flits_delivered;
-          if constexpr (kObs) {
-            if (measuring) {
-              ++obs_log<kShard>(wk).hops[static_cast<std::size_t>(last)];
-            }
-            if (flit.inject_cycle >= core_.config().warmup_cycles &&
-                obs_->traced(static_cast<std::uint32_t>(flit.src),
-                             flit.inject_cycle)) {
-              if (flit.is_head()) {
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kStageEnd,
-                                   static_cast<std::uint8_t>(last), 0,
-                                   kEjectPhase);
-              }
-              if (flit.is_tail()) {
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kPacketEnd, 0, 0,
-                                   kEjectPhase);
-              }
-            }
+          if (log != nullptr) [[unlikely]] {
+            trace_flit_eject(*log, measuring, cycle, flit);
           }
           if constexpr (kFaulted) {
             if (counted && flit.is_tail() &&
@@ -995,35 +764,8 @@ class WormholePolicy {
               ++res.packets_misdelivered;
             }
           }
-          if (flit.is_tail() && core_.wants_deliveries()) {
-            const workload::Delivery delivery{
-                static_cast<std::uint32_t>(flit.src), flit.dest_terminal,
-                static_cast<std::uint32_t>(term), flit.inject_cycle,
-                cycle + 1, static_cast<std::uint8_t>(flit.tag), counted};
-            if constexpr (kShard) {
-              wk->wl_events.push_back(delivery);
-            } else {
-              core_.workload_delivered(delivery);
-            }
-          }
-          if constexpr (kShard) {
-            if (observer_ || (counted && flit.is_tail())) {
-              wk->wh_events.push_back(flit);
-            }
-          } else {
-            if (observer_) observer_(flit, cycle);
-            if (counted && flit.is_tail()) {
-              const double latency =
-                  static_cast<double>(cycle - flit.inject_cycle + 1);
-              core_.record_packet_delivered(latency);
-              if constexpr (kObs) {
-                if (obs_->flows_on()) {
-                  obs_->record_flow(static_cast<std::uint32_t>(flit.src),
-                                    flit.dest_terminal, 0, latency);
-                }
-              }
-            }
-          }
+          complete_eject<kShard>(flit, static_cast<std::uint32_t>(term),
+                                 cycle, counted, wk);
           break;
         }
       }
@@ -1033,11 +775,10 @@ class WormholePolicy {
     for (unsigned plane = 0; plane < planes_; ++plane) {
       const std::size_t run =
           static_cast<std::size_t>(plane) * lcells_ * r * lanes_;
-      account_stage<kShard>(
-          cycle, measuring,
-          first + run + static_cast<std::size_t>(lx0) * r * lanes_,
-          first + run + static_cast<std::size_t>(lx1) * r * lanes_, wk, last,
-          eject_stall_phase(plane));
+      account_stage(cycle, measuring,
+                    first + run + static_cast<std::size_t>(lx0) * r * lanes_,
+                    first + run + static_cast<std::size_t>(lx1) * r * lanes_,
+                    res, log, last, eject_stall_phase(plane));
     }
   }
 
@@ -1049,8 +790,9 @@ class WormholePolicy {
   void advance_stage_multipath_impl(int s, std::uint64_t cycle,
                                     bool measuring, std::uint32_t x0,
                                     std::uint32_t x1, ShardWorker* wk) {
+    SimResult& res = shard_result<kShard>(core_, wk);
+    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
     const unsigned r = radix_;
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(wk);
     const auto down = core_.wiring().down_stage(s);
     const bool target_ejects = s + 2 == core_.stages();
     // Routing constants for the target stage s + 1: the free flag, the
@@ -1084,17 +826,14 @@ class WormholePolicy {
       arc_base = static_cast<std::size_t>(s) * core_.ports();
       mask = &faulted_.mask();
     }
-    if constexpr (kObs) {
-      const std::size_t sfirst = lane_index(s, 0, 0);
-      std::fill(
-          stall_cause_.begin() + sfirst + static_cast<std::size_t>(x0) * r *
-                                              lanes_,
-          stall_cause_.begin() + sfirst + static_cast<std::size_t>(x1) * r *
-                                              lanes_,
-          0);
+    if (log != nullptr) [[unlikely]] {
+      const std::size_t first = lane_index(s, 0, 0);
+      clear_stall_causes(first + static_cast<std::size_t>(x0) * r * lanes_,
+                         first + static_cast<std::size_t>(x1) * r * lanes_);
     }
     const unsigned candidates =
         static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
+    std::uint64_t moves = 0;  // flits that left stage s this cycle
     for (std::uint32_t x = x0; x < x1; ++x) {
       for (unsigned port = 0; port < r; ++port) {
         if constexpr (kFaulted) {
@@ -1109,9 +848,8 @@ class WormholePolicy {
           if (pool_.front(l).is_head()) {
             const int down_lane = pool_.find_idle_lane(target_first, lanes_);
             if (down_lane < 0) {
-              if constexpr (kObs) {
-                stall_cause_[l] = static_cast<std::uint8_t>(
-                    obs::StallCause::kNoFreeLane);
+              if (log != nullptr) [[unlikely]] {
+                mark_stall(l, obs::StallCause::kNoFreeLane);
               }
               continue;  // blocked: no free lane
             }
@@ -1139,39 +877,17 @@ class WormholePolicy {
                 target_first + static_cast<std::size_t>(down_lane), flit,
                 s + 1, record / r, desired, measuring, wk, cycle,
                 advance_phase(s));
-            if constexpr (kObs) {
-              if (flit.inject_cycle >= core_.config().warmup_cycles &&
-                  obs_->traced(static_cast<std::uint32_t>(flit.src),
-                               flit.inject_cycle)) {
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kStageEnd,
-                                   static_cast<std::uint8_t>(s), 0,
-                                   advance_phase(s));
-                trace_push<kShard>(wk, cycle, flit.inject_cycle,
-                                   static_cast<std::uint32_t>(flit.src),
-                                   flit.dest_terminal,
-                                   obs::TraceEventKind::kStageBegin,
-                                   static_cast<std::uint8_t>(s + 1), 0,
-                                   advance_phase(s));
-              }
+            if (log != nullptr) [[unlikely]] {
+              trace_flit_cross(*log, s, cycle, flit);
             }
             if constexpr (kFaulted) {
               if (reroute_kind == 1 && measuring &&
                   flit.inject_cycle >= core_.config().warmup_cycles) {
                 ++res.path_reroutes;
-                if constexpr (kObs) {
-                  ++obs_log<kShard>(wk).reroute[static_cast<std::size_t>(s)];
-                  if (obs_->traced(static_cast<std::uint32_t>(flit.src),
-                                   flit.inject_cycle)) {
-                    trace_push<kShard>(wk, cycle, flit.inject_cycle,
-                                       static_cast<std::uint32_t>(flit.src),
-                                       flit.dest_terminal,
-                                       obs::TraceEventKind::kReroute,
-                                       static_cast<std::uint8_t>(s), 0,
-                                       advance_phase(s));
-                  }
+                if (log != nullptr) [[unlikely]] {
+                  trace_reroute(*log, s, cycle, flit.inject_cycle,
+                                static_cast<std::uint32_t>(flit.src),
+                                flit.dest_terminal, advance_phase(s));
                 }
               }
             }
@@ -1179,30 +895,27 @@ class WormholePolicy {
             const std::size_t down_l =
                 target_first + static_cast<std::size_t>(pool_.downstream(l));
             if (!pool_.has_space(down_l)) {
-              if constexpr (kObs) {
-                stall_cause_[l] = static_cast<std::uint8_t>(
-                    obs::StallCause::kDownstreamFull);
+              if (log != nullptr) [[unlikely]] {
+                mark_stall(l, obs::StallCause::kDownstreamFull);
               }
               continue;  // blocked: full
             }
             shard_accept<kShard>(down_l, shard_pop<kShard>(l, wk), wk);
           }
           arb_grant(s, x * r + port, c, 0);
-          if (measuring) {
-            shard_link_counter<kShard>(wk);
-            if constexpr (kObs) {
-              ++obs_log<kShard>(wk).hops[static_cast<std::size_t>(s)];
-            }
-          }
+          ++moves;
           break;
         }
       }
     }
+    if (measuring) count_hops<kShard>(s, moves, log, wk);
+    // Recomputed rather than kept live across the loop above: one more
+    // register held through the probe loop costs the hot path measurably.
     const std::size_t first = lane_index(s, 0, 0);
-    account_stage<kShard>(cycle, measuring,
-                          first + static_cast<std::size_t>(x0) * r * lanes_,
-                          first + static_cast<std::size_t>(x1) * r * lanes_,
-                          wk, s, stall_phase(s));
+    account_stage(cycle, measuring,
+                  first + static_cast<std::size_t>(x0) * r * lanes_,
+                  first + static_cast<std::size_t>(x1) * r * lanes_, res, log,
+                  s, stall_phase(s));
   }
 
   /// Multipath injection: logical terminal t feeds physical input slot
@@ -1212,6 +925,7 @@ class WormholePolicy {
   /// through select_next_port. A terminal mid-packet keeps serializing
   /// into the claimed lane of the claimed physical port.
   void inject_multipath(std::uint64_t cycle, bool measuring) {
+    obs::WorkerLog* const log = kernel_log<false>(obs_, nullptr);
     const unsigned r = radix_;
     const bool first_free = free_stage_[0] != 0;
     std::uint32_t digit_scale = 1;
@@ -1270,10 +984,7 @@ class WormholePolicy {
           const int idle =
               pool_.find_idle_lane(lane_index(0, candidate, 0), lanes_);
           if (idle < 0) continue;
-          std::size_t occupancy = 0;
-          for (std::size_t ln = 0; ln < lanes_; ++ln) {
-            occupancy += pool_.count(lane_index(0, candidate, ln));
-          }
+          const std::size_t occupancy = port_occupancy(0, candidate);
           if (lane < 0 || occupancy < best) {
             best = occupancy;
             port_index = candidate;
@@ -1308,14 +1019,10 @@ class WormholePolicy {
         if (reroute_kind == 1 && measuring &&
             cycle >= core_.config().warmup_cycles) {
           ++core_.result.path_reroutes;
-          if constexpr (kObs) {
-            ++obs_->log(0).reroute[0];
-            if (obs_->traced(static_cast<std::uint32_t>(t), cycle)) {
-              trace_push<false>(nullptr, cycle, cycle,
-                                static_cast<std::uint32_t>(t), dest,
-                                obs::TraceEventKind::kReroute, 0, 0,
-                                inject_phase());
-            }
+          if (log != nullptr) [[unlikely]] {
+            trace_reroute(*log, 0, cycle, cycle,
+                          static_cast<std::uint32_t>(t), dest,
+                          inject_phase());
           }
         }
       }
@@ -1332,17 +1039,8 @@ class WormholePolicy {
       if (measuring) {
         ++core_.result.injected;
         ++core_.result.flits_injected;
-        if constexpr (kObs) {
-          if (obs_->traced(static_cast<std::uint32_t>(t), cycle)) {
-            trace_push<false>(nullptr, cycle, cycle,
-                              static_cast<std::uint32_t>(t), dest,
-                              obs::TraceEventKind::kPacketBegin, 0, 0,
-                              inject_phase());
-            trace_push<false>(nullptr, cycle, cycle,
-                              static_cast<std::uint32_t>(t), dest,
-                              obs::TraceEventKind::kStageBegin, 0, 0,
-                              inject_phase());
-          }
+        if (log != nullptr) [[unlikely]] {
+          trace_inject(*log, cycle, static_cast<std::uint32_t>(t), dest);
         }
       }
     }
@@ -1379,12 +1077,8 @@ class WormholePolicy {
             continue;
           }
         }
-        std::size_t occupancy = 0;
-        const std::size_t down_first =
-            lane_index(next_s + 1, down_next[y * r + p], 0);
-        for (std::size_t ln = 0; ln < lanes_; ++ln) {
-          occupancy += pool_.count(down_first + ln);
-        }
+        const std::size_t occupancy =
+            port_occupancy(next_s + 1, down_next[y * r + p]);
         if (chosen < 0 || occupancy < best) {
           best = occupancy;
           chosen = static_cast<int>(p);
@@ -1429,35 +1123,6 @@ class WormholePolicy {
            lane;
   }
 
-  /// The arbitration seam (kCredits only varies it) — see
-  /// StoreAndForwardPolicy for the policy semantics. Candidates here
-  /// index the radix * lanes input lanes of an output port.
-  [[nodiscard]] unsigned arb_candidate(int s, std::size_t out,
-                                       unsigned probe) {
-    if constexpr (kCredits) {
-      if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
-        return weighted_.candidate(arb_index(s, out), probe);
-      }
-    }
-    return core_.arbiter(s, out).candidate(probe);
-  }
-
-  void arb_grant(int s, std::size_t out, unsigned winner,
-                 [[maybe_unused]] unsigned vl) {
-    if constexpr (kCredits) {
-      if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
-        weighted_.grant(arb_index(s, out), winner,
-                        credit_config_->weight(vl));
-        return;
-      }
-    }
-    core_.arbiter(s, out).grant(winner);
-  }
-
-  [[nodiscard]] std::size_t arb_index(int s, std::size_t out) const {
-    return static_cast<std::size_t>(s) * core_.ports() + out;
-  }
-
   /// Weight class of the worm at the head of lane \p l (kCredits only).
   [[nodiscard]] unsigned flit_weight(std::size_t l) const {
     return credit_config_->weight(credit_config_->vl_of_sl(
@@ -1490,19 +1155,13 @@ class WormholePolicy {
         }
         if (static_cast<unsigned>(port) != desired && measuring &&
             head.inject_cycle >= core_.config().warmup_cycles) {
-          ++shard_result<kShard>(wk).packets_rerouted;
-          if constexpr (kObs) {
-            // Charged to the stage whose out-port detoured (the one the
-            // head just entered); the trace event carries the same stage.
-            ++obs_log<kShard>(wk).reroute[static_cast<std::size_t>(s)];
-            if (obs_->traced(static_cast<std::uint32_t>(head.src),
-                             head.inject_cycle)) {
-              trace_push<kShard>(wk, cycle, head.inject_cycle,
-                                 static_cast<std::uint32_t>(head.src),
-                                 head.dest_terminal,
-                                 obs::TraceEventKind::kReroute,
-                                 static_cast<std::uint8_t>(s), 0, phase);
-            }
+          ++shard_result<kShard>(core_, wk).packets_rerouted;
+          // Charged to the stage whose out-port detoured (the one the
+          // head just entered); the trace event carries the same stage.
+          if (obs::WorkerLog* log = kernel_log<kShard>(obs_, wk)) {
+            trace_reroute(*log, s, cycle, head.inject_cycle,
+                          static_cast<std::uint32_t>(head.src),
+                          head.dest_terminal, phase);
           }
         }
         shard_accept_head<kShard>(l, head, static_cast<unsigned>(port), wk);
@@ -1523,12 +1182,13 @@ class WormholePolicy {
   void drain_dropping(int s, [[maybe_unused]] std::uint64_t cycle,
                       bool measuring, std::uint32_t x0, std::uint32_t x1,
                       ShardWorker* wk) {
+    SimResult& res = shard_result<kShard>(core_, wk);
+    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
     const std::size_t first = lane_index(s, 0, 0);
     const std::size_t lo = first + static_cast<std::size_t>(x0) * radix() *
                                        lanes_;
     const std::size_t hi = first + static_cast<std::size_t>(x1) * radix() *
                                        lanes_;
-    [[maybe_unused]] SimResult& res = shard_result<kShard>(wk);
     for (std::size_t l = lo; l < hi; ++l) {
       if (dropping_[l] == 0) continue;
       while (!pool_.empty(l)) {
@@ -1539,25 +1199,20 @@ class WormholePolicy {
         if (measuring && flit.inject_cycle >= core_.config().warmup_cycles) {
           ++res.flits_dropped_faulted;
           if (flit.is_head()) ++res.packets_dropped_faulted;
-          if constexpr (kObs) {
-            if (flit.is_head() &&
-                obs_->traced(static_cast<std::uint32_t>(flit.src),
-                             flit.inject_cycle)) {
-              const std::uint8_t phase = drain_phase(s);
-              const auto src = static_cast<std::uint32_t>(flit.src);
-              trace_push<kShard>(wk, cycle, flit.inject_cycle, src,
-                                 flit.dest_terminal,
-                                 obs::TraceEventKind::kStageEnd,
-                                 static_cast<std::uint8_t>(s), 0, phase);
-              trace_push<kShard>(wk, cycle, flit.inject_cycle, src,
-                                 flit.dest_terminal,
-                                 obs::TraceEventKind::kDrop,
-                                 static_cast<std::uint8_t>(s), 0, phase);
-              trace_push<kShard>(wk, cycle, flit.inject_cycle, src,
-                                 flit.dest_terminal,
-                                 obs::TraceEventKind::kPacketEnd, 0, 0,
-                                 phase);
-            }
+          if (log != nullptr && flit.is_head() &&
+              obs_->traced(static_cast<std::uint32_t>(flit.src),
+                           flit.inject_cycle)) {
+            const std::uint8_t phase = drain_phase(s);
+            const auto src = static_cast<std::uint32_t>(flit.src);
+            trace_push(*log, cycle, flit.inject_cycle, src,
+                       flit.dest_terminal, obs::TraceEventKind::kStageEnd,
+                       static_cast<std::uint8_t>(s), 0, phase);
+            trace_push(*log, cycle, flit.inject_cycle, src,
+                       flit.dest_terminal, obs::TraceEventKind::kDrop,
+                       static_cast<std::uint8_t>(s), 0, phase);
+            trace_push(*log, cycle, flit.inject_cycle, src,
+                       flit.dest_terminal, obs::TraceEventKind::kPacketEnd,
+                       0, 0, phase);
           }
         }
         if (flit.is_tail()) dropping_[l] = 0;
@@ -1568,225 +1223,42 @@ class WormholePolicy {
   /// Count stalled worms over the lane range [lo, hi) and reset its
   /// per-cycle movement flags. Called right after the stage had its
   /// switching (or ejection) opportunity, before upstream pushes refill
-  /// it; sharded callers pass exactly their writer partition.
-  /// kObs: the same scan charges each stalled lane-cycle to its recorded
-  /// StallCause, so the per-cause counters partition hol_blocking_cycles
-  /// exactly — no separate bookkeeping to drift.
-  template <bool kShard>
-  void account_stage([[maybe_unused]] std::uint64_t cycle, bool measuring,
-                     std::size_t lo, std::size_t hi, ShardWorker* wk,
-                     [[maybe_unused]] int stage,
-                     [[maybe_unused]] std::uint8_t phase) {
-    SimResult& res = shard_result<kShard>(wk);
+  /// it; sharded callers pass exactly their writer partition. With an
+  /// observer (\p log non-null) the same scan charges each stalled
+  /// lane-cycle to its recorded StallCause. The loop is unswitched by
+  /// hand: a call inside the plain scan would force its loop invariants
+  /// out of registers.
+  void account_stage(std::uint64_t cycle, bool measuring, std::size_t lo,
+                     std::size_t hi, SimResult& res, obs::WorkerLog* log,
+                     int stage, std::uint8_t phase) {
+    const auto blocked = [&](std::size_t l) {
+      return measuring && !pool_.empty(l) && !pool_.moved(l);
+    };
+    if (log == nullptr) [[likely]] {
+      for (std::size_t l = lo; l < hi; ++l) {
+        if (blocked(l)) ++res.hol_blocking_cycles;
+        pool_.clear_moved(l);
+      }
+      return;
+    }
     for (std::size_t l = lo; l < hi; ++l) {
-      if (measuring && !pool_.empty(l) && !pool_.moved(l)) {
+      if (blocked(l)) {
         ++res.hol_blocking_cycles;
-        if constexpr (kObs) {
-          attribute_stall<kShard>(stage, cycle, l, wk, phase);
-        }
+        attribute_stall(stage, cycle, l, l, res, *log, phase);
       }
       pool_.clear_moved(l);
     }
   }
 
-  /// kObs only: one stalled lane-cycle's telemetry — the per-cause
-  /// SimResult counter, the per-stage probe counter, and a stall instant
-  /// for traced packets.
-  template <bool kShard>
-  void attribute_stall(int s, std::uint64_t cycle, std::size_t l,
-                       ShardWorker* wk, std::uint8_t phase) {
-    SimResult& res = shard_result<kShard>(wk);
-    const auto cause = static_cast<obs::StallCause>(stall_cause_[l]);
-    switch (cause) {
-      case obs::StallCause::kLostArbitration:
-        ++res.stall_lost_arbitration;
-        break;
-      case obs::StallCause::kDownstreamFull:
-        ++res.stall_downstream_full;
-        break;
-      case obs::StallCause::kNoFreeLane:
-        ++res.stall_no_free_lane;
-        break;
-      case obs::StallCause::kZeroCredits:
-        ++res.stall_zero_credits;
-        break;
-      case obs::StallCause::kMaskedArc:
-        ++res.stall_masked_arc;
-        break;
-    }
-    ++obs_log<kShard>(wk).hol[static_cast<std::size_t>(s)];
-    if (obs_->trace_on()) {
-      const Flit& flit = pool_.front(l);
-      const auto ic = static_cast<std::uint64_t>(flit.inject_cycle);
-      const auto src = static_cast<std::uint32_t>(flit.src);
-      if (ic >= core_.config().warmup_cycles && obs_->traced(src, ic)) {
-        trace_push<kShard>(wk, cycle, ic, src, flit.dest_terminal,
-                           obs::TraceEventKind::kStall,
-                           static_cast<std::uint8_t>(s),
-                           static_cast<std::uint8_t>(cause), phase);
-      }
-    }
-  }
-
-  // --- Observability helpers (kObs instantiations only) ----------------
-
-  /// The WorkerLog the current kernel writes: the worker's own sink on
-  /// sharded runs (shard_eject re-binds it every cycle), log 0 serially.
-  template <bool kShard>
-  [[nodiscard]] obs::WorkerLog& obs_log([[maybe_unused]] ShardWorker* wk) {
-    if constexpr (kShard) {
-      return *wk->obs_log;
-    } else {
-      return obs_->log(0);
-    }
-  }
-
-  /// Append one trace event to the current worker's buffer, tagged with
-  /// its (cycle, phase) sort key. Callers have already checked
-  /// Observer::traced for the packet.
-  template <bool kShard>
-  void trace_push(ShardWorker* wk, std::uint64_t cycle,
-                  std::uint64_t inject_cycle, std::uint32_t src,
-                  std::uint32_t dst, obs::TraceEventKind kind,
-                  std::uint8_t stage, std::uint8_t cause,
-                  std::uint8_t phase) {
-    obs::TraceEvent event;
-    event.cycle = cycle;
-    event.inject_cycle = inject_cycle;
-    event.src = src;
-    event.dst = dst;
-    event.kind = kind;
-    event.stage = stage;
-    event.cause = cause;
-    event.phase = phase;
-    obs_log<kShard>(wk).events.push_back(event);
-  }
-
-  // Phase ordinals (TraceEvent::phase) — the same numbering as
-  // StoreAndForwardPolicy (engine.cpp): eject moves, the per-plane eject
-  // HOL scans, then per advance stage s (walked S-2 down to 0) a
-  // drain / moves / HOL-scan triple, and injection last — so the sharded
-  // (cycle, phase) stable sort reproduces the serial emission order.
-  static constexpr std::uint8_t kEjectPhase = 0;
-  [[nodiscard]] std::uint8_t eject_stall_phase(unsigned plane) const noexcept {
-    return static_cast<std::uint8_t>(1 + plane);
-  }
-  [[nodiscard]] std::uint8_t advance_base(int s) const noexcept {
-    return static_cast<std::uint8_t>(
-        1 + planes_ +
-        3 * static_cast<unsigned>(core_.stages() - 2 - s));
-  }
-  [[nodiscard]] std::uint8_t drain_phase(int s) const noexcept {
-    return advance_base(s);
-  }
-  [[nodiscard]] std::uint8_t advance_phase(int s) const noexcept {
-    return static_cast<std::uint8_t>(advance_base(s) + 1);
-  }
-  [[nodiscard]] std::uint8_t stall_phase(int s) const noexcept {
-    return static_cast<std::uint8_t>(advance_base(s) + 2);
-  }
-  [[nodiscard]] std::uint8_t inject_phase() const noexcept {
-    return static_cast<std::uint8_t>(
-        1 + planes_ + 3 * static_cast<unsigned>(core_.stages() - 1));
-  }
-
-  /// Close a probe window (serial sample phase / worker 0's sample
-  /// reduce): fill the observer's scratch with the per-(stage, cell)
-  /// buffered flit counts and commit.
-  void commit_probe_window(std::uint64_t cycle) {
-    std::vector<std::uint32_t>& scratch = obs_->occupancy_scratch();
-    const unsigned r = radix();
-    const int stages = core_.stages();
-    const std::uint32_t cells = core_.cells();
-    for (int s = 0; s < stages; ++s) {
-      for (std::uint32_t x = 0; x < cells; ++x) {
-        std::uint32_t occupied = 0;
-        for (unsigned slot = 0; slot < r; ++slot) {
-          for (std::size_t ln = 0; ln < lanes_; ++ln) {
-            occupied += pool_.count(lane_index(s, x * r + slot, ln));
-          }
-        }
-        scratch[static_cast<std::size_t>(s) * cells + x] = occupied;
-      }
-    }
-    obs_->commit_probe(cycle);
-  }
-
-  FabricCore& core_;
   const EjectObserver& observer_;
-  unsigned radix_;
   std::size_t lanes_;
-  std::uint64_t length_;
   LanePool& pool_;
   std::vector<SourceState> sources_;
   std::uint32_t next_packet_id_ = 0;
-  std::uint64_t link_flit_hops_ = 0;
-  std::int64_t shard_pool_delta_ = 0;  // sharded runs only
   double total_flit_slots_;
-  fault::FaultedWiring faulted_;        // kFaulted only
-  std::vector<std::uint8_t> dropping_;  // kFaulted only
-  const CreditConfig* credit_config_ = nullptr;  // kCredits only
-  CreditLedger* credits_ = nullptr;              // kCredits only
-  WeightedRoundRobin weighted_;                  // kCredits only
-  std::size_t service_levels_ = 1;               // kCredits only
-  std::vector<std::uint64_t> vl_flits_;          // kCredits only (scratch)
-  unsigned lradix_ = 2;                              // kMultiPath only
-  std::uint32_t lcells_ = 1;                         // kMultiPath only
-  unsigned planes_ = 1;                              // kMultiPath only
-  unsigned dilation_ = 1;                            // kMultiPath only
-  PathPolicy path_policy_ = PathPolicy::kHash;       // kMultiPath only
-  const multipath::LoopingSettings* looping_ = nullptr;  // kMultiPath only
-  const std::uint8_t* free_stage_ = nullptr;         // kMultiPath only
-  obs::Observer* obs_ = nullptr;                     // kObs only
-  /// Per-lane StallCause scratch, written by the advance probe loops and
-  /// read by account_stage's attribution — same writer partition as the
-  /// lanes themselves.
-  std::vector<std::uint8_t> stall_cause_;            // kObs only
+  std::vector<std::uint8_t> dropping_;   // kFaulted only
+  std::vector<std::uint64_t> vl_flits_;  // kCredits only (scratch)
 };
-
-/// Out of line on purpose — see run_saf in engine.cpp.
-template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath,
-          bool kObs>
-#if defined(__GNUC__)
-[[gnu::noinline]]
-#endif
-SimResult
-run_wormhole_impl(FabricCore& core, const EjectObserver& observer,
-                  SimWorkspace& workspace, const fault::FaultMask* mask,
-                  obs::Observer* obs,
-                  const multipath::LoopingSettings* looping) {
-  WormholePolicy<kFaulted, kBinary, kCredits, kMultiPath, kObs> policy(
-      core, observer, workspace, mask, obs, looping);
-  if constexpr (kObs) {
-    // Closed-loop sources route request->reply latencies into the flow
-    // recorder's service channel (null and ignored when flows are off).
-    core.set_service_recorder(obs->flow_recorder());
-  }
-  const std::size_t threads = core.config().sim_threads;
-  SimResult result = threads > 1 ? run_switched_sharded(core, policy, threads)
-                                 : run_switched(core, policy);
-  if constexpr (kObs) {
-    result.probes = obs->take_probes();
-    if (obs->flows_on()) result.flows = obs->flow_summary();
-    result.trace = obs->take_trace();
-  }
-  return result;
-}
-
-/// The obs fork: an absent observer dispatches to the kObs=false
-/// instantiation — byte for byte the pre-observability policy.
-template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath>
-SimResult run_wormhole(FabricCore& core, const EjectObserver& observer,
-                       SimWorkspace& workspace, const fault::FaultMask* mask,
-                       obs::Observer* obs,
-                       const multipath::LoopingSettings* looping = nullptr) {
-  if (obs != nullptr) {
-    return run_wormhole_impl<kFaulted, kBinary, kCredits, kMultiPath, true>(
-        core, observer, workspace, mask, obs, looping);
-  }
-  return run_wormhole_impl<kFaulted, kBinary, kCredits, kMultiPath, false>(
-      core, observer, workspace, mask, nullptr, looping);
-}
 
 }  // namespace
 
@@ -1804,92 +1276,13 @@ SimResult WormholeSimulator::run(Pattern pattern, const SimConfig& config,
                                  const EjectObserver& observer,
                                  const fault::FaultMask* mask,
                                  SimWorkspace* workspace) const {
-  config.validate();
-  const bool faulted = mask != nullptr && !mask->none();
-  if (faulted && !mask->matches(engine_.wiring())) {
-    throw std::invalid_argument(
-        "WormholeSimulator::run: fault mask geometry does not match");
-  }
-  SimWorkspace local;
-  SimWorkspace& ws = workspace != nullptr ? *workspace : local;
-  // The observer outlives the policy — same construction as Engine::run
-  // (worker-log count matches the shard team clamp; flit slots per stage
-  // replace packet slots in the occupancy normalization).
-  std::optional<obs::Observer> observer_state;
-  if (config.obs.any()) {
-    config.obs.validate(engine_.terminals());
-    const auto& wiring = engine_.wiring();
-    const std::size_t workers =
-        config.sim_threads > 1
-            ? std::min<std::size_t>(
-                  config.sim_threads,
-                  std::max<std::uint32_t>(1, wiring.cells_per_stage()))
-            : 1;
-    const std::size_t ports = static_cast<std::size_t>(wiring.radix()) *
-                              wiring.cells_per_stage();
-    observer_state.emplace(
-        config.obs, wiring.stages(), wiring.cells_per_stage(), ports,
-        static_cast<std::uint32_t>(engine_.terminals()), config.warmup_cycles,
-        config.measure_cycles, workers,
-        latency_histogram_buckets(config, wiring.stages()),
-        config.credits.enabled ? config.credits.service_levels() : 1,
-        static_cast<double>(ports) * static_cast<double>(config.lanes) *
-            static_cast<double>(config.lane_depth));
-  }
-  obs::Observer* obs = observer_state.has_value() ? &*observer_state : nullptr;
-  if (engine_.multipath()) {
-    if (config.credits.enabled) {
-      throw std::invalid_argument(
-          "WormholeSimulator::run: credit-based flow control is not "
-          "supported on multipath fabrics");
-    }
-    std::optional<multipath::LoopingSettings> looping;
-    if (config.path_policy == PathPolicy::kLooping) {
-      looping = multipath::looping_configure(engine_.fabric(),
-                                             config.permutation);
-    }
-    const multipath::LoopingSettings* settings =
-        looping.has_value() ? &*looping : nullptr;
-    FabricCore core(
-        engine_, pattern, config,
-        static_cast<unsigned>(static_cast<std::size_t>(engine_.radix()) *
-                              config.lanes),
-        static_cast<unsigned>(static_cast<std::size_t>(engine_.planes()) *
-                              engine_.radix() * config.lanes));
-    return faulted ? run_wormhole<true, false, false, true>(core, observer,
-                                                            ws, mask, obs,
-                                                            settings)
-                   : run_wormhole<false, false, false, true>(
-                         core, observer, ws, nullptr, obs, settings);
-  }
-  FabricCore core(
-      engine_, pattern, config,
-      static_cast<unsigned>(static_cast<std::size_t>(engine_.radix()) *
-                            config.lanes));
-  const bool binary = engine_.radix() == 2;
-  const bool credits = config.credits.enabled;
-  if (faulted) {
-    if (credits) {
-      return binary ? run_wormhole<true, true, true, false>(core, observer,
-                                                            ws, mask, obs)
-                    : run_wormhole<true, false, true, false>(core, observer,
-                                                             ws, mask, obs);
-    }
-    return binary ? run_wormhole<true, true, false, false>(core, observer,
-                                                           ws, mask, obs)
-                  : run_wormhole<true, false, false, false>(core, observer,
-                                                            ws, mask, obs);
-  }
-  if (credits) {
-    return binary ? run_wormhole<false, true, true, false>(core, observer,
-                                                           ws, nullptr, obs)
-                  : run_wormhole<false, false, true, false>(core, observer,
-                                                            ws, nullptr, obs);
-  }
-  return binary ? run_wormhole<false, true, false, false>(core, observer, ws,
-                                                          nullptr, obs)
-                : run_wormhole<false, false, false, false>(
-                      core, observer, ws, nullptr, obs);
+  return dispatch_policy<WormholePolicy>(
+      engine_, pattern, config, mask, workspace,
+      DisciplineShape{"WormholeSimulator::run",
+                      static_cast<unsigned>(config.lanes),
+                      static_cast<double>(config.lanes) *
+                          static_cast<double>(config.lane_depth)},
+      observer);
 }
 
 }  // namespace mineq::sim

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fault/fault_model.hpp"
+#include "min/kary.hpp"
 #include "min/networks.hpp"
 #include "multipath/multipath_wiring.hpp"
 #include "obs/obs.hpp"
@@ -120,35 +121,92 @@ TEST(ObsStallTest, DominantCauseTokenIsRegistered) {
 // ------------------------------------------------------------- passivity
 
 /// Enabling every collector must not change any simulation outcome: the
-/// instrumented instantiations produce the same counters, latencies and
-/// RNG draws as the uninstrumented fast path.
+/// instrumented runs produce the same counters, latencies and RNG draws
+/// as the uninstrumented ones. Observability is a runtime branch inside
+/// every policy instantiation, so this sweeps every policy family —
+/// radix 2 and 4, pristine and faulted, credits, Benes and replicated
+/// multipath — at one and at three simulation threads.
 TEST(ObsPassivityTest, CollectorsNeverPerturbResults) {
   const Engine omega(min::build_network(NetworkKind::kOmega, 5));
   const FaultMask mask = fault::build_fault_mask(
       omega.wiring(), FaultSpec{FaultKind::kSwitchKills, 0.08, 3});
+  const Engine omega4(min::build_kary_network(NetworkKind::kOmega, 3, 4));
+  const FaultMask mask4 = fault::build_fault_mask(
+      omega4.wiring(), FaultSpec{FaultKind::kRandomLinks, 0.08, 5});
+  const Engine benes{MultiPathWiring::benes(4, 2)};
+  const FaultMask benes_mask = fault::build_fault_mask(
+      benes.wiring(), FaultSpec{FaultKind::kRandomLinks, 0.1, 11});
+  const Engine replicated{
+      MultiPathWiring::replicated(NetworkKind::kOmega, 4, 2, 2)};
+  const FaultMask replicated_mask = fault::build_fault_mask(
+      replicated.wiring(), FaultSpec{FaultKind::kRandomLinks, 0.1, 13});
+
+  struct Case {
+    const char* name;
+    const Engine* engine;
+    const FaultMask* mask;
+    bool credits;
+    PathPolicy path_policy;
+  };
+  const std::vector<Case> cases = {
+      {"radix2", &omega, nullptr, false, PathPolicy::kHash},
+      {"radix2 faulted", &omega, &mask, false, PathPolicy::kHash},
+      {"radix2 credits", &omega, nullptr, true, PathPolicy::kHash},
+      {"radix2 credits faulted", &omega, &mask, true, PathPolicy::kHash},
+      {"radix4", &omega4, nullptr, false, PathPolicy::kHash},
+      {"radix4 faulted", &omega4, &mask4, false, PathPolicy::kHash},
+      {"radix4 credits", &omega4, nullptr, true, PathPolicy::kHash},
+      {"benes", &benes, nullptr, false, PathPolicy::kAdaptive},
+      {"benes faulted", &benes, &benes_mask, false, PathPolicy::kHash},
+      {"replicated", &replicated, nullptr, false, PathPolicy::kHash},
+      {"replicated faulted", &replicated, &replicated_mask, false,
+       PathPolicy::kAdaptive},
+  };
   for (const SwitchingMode mode :
        {SwitchingMode::kStoreAndForward, SwitchingMode::kWormhole}) {
     SCOPED_TRACE(switching_mode_name(mode));
-    SimConfig plain = base_config(mode);
-    SimConfig instrumented = plain;
-    instrumented.obs = all_collectors();
-    for (const FaultMask* m : {static_cast<const FaultMask*>(nullptr), &mask}) {
-      const SimResult a = omega.run(Pattern::kBitReversal, plain, m);
-      const SimResult b = omega.run(Pattern::kBitReversal, instrumented, m);
-      EXPECT_EQ(a.offered, b.offered);
-      EXPECT_EQ(a.injected, b.injected);
-      EXPECT_EQ(a.delivered, b.delivered);
-      EXPECT_EQ(a.flits_injected, b.flits_injected);
-      EXPECT_EQ(a.flits_delivered, b.flits_delivered);
-      EXPECT_EQ(a.flits_in_flight, b.flits_in_flight);
-      EXPECT_EQ(a.hol_blocking_cycles, b.hol_blocking_cycles);
-      EXPECT_EQ(a.credit_stall_cycles, b.credit_stall_cycles);
-      EXPECT_EQ(a.packets_dropped_faulted, b.packets_dropped_faulted);
-      EXPECT_EQ(a.packets_rerouted, b.packets_rerouted);
-      EXPECT_EQ(a.latency.count(), b.latency.count());
-      EXPECT_EQ(a.latency.mean(), b.latency.mean());
-      EXPECT_EQ(a.latency.max(), b.latency.max());
-      EXPECT_EQ(a.link_utilization, b.link_utilization);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.name);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        SCOPED_TRACE(threads);
+        SimConfig plain = base_config(mode);
+        plain.sim_threads = threads;
+        plain.path_policy = c.path_policy;
+        if (c.credits) {
+          // Weighted arbitration over two service levels.
+          plain.credits.enabled = true;
+          plain.credits.return_latency = 2;
+          plain.credits.sl_map = {0, 1};
+          plain.credits.weights = {3, 1};
+          plain.credits.arbitration = ArbitrationPolicy::kWeighted;
+        }
+        SimConfig instrumented = plain;
+        instrumented.obs = all_collectors();
+        const SimResult a = c.engine->run(Pattern::kBitReversal, plain, c.mask);
+        const SimResult b =
+            c.engine->run(Pattern::kBitReversal, instrumented, c.mask);
+        EXPECT_GT(a.delivered, 0U);
+        EXPECT_EQ(a.offered, b.offered);
+        EXPECT_EQ(a.injected, b.injected);
+        EXPECT_EQ(a.delivered, b.delivered);
+        EXPECT_EQ(a.flits_injected, b.flits_injected);
+        EXPECT_EQ(a.flits_delivered, b.flits_delivered);
+        EXPECT_EQ(a.flits_in_flight, b.flits_in_flight);
+        EXPECT_EQ(a.hol_blocking_cycles, b.hol_blocking_cycles);
+        EXPECT_EQ(a.credit_stall_cycles, b.credit_stall_cycles);
+        EXPECT_EQ(a.credit_violations, b.credit_violations);
+        EXPECT_EQ(a.packets_dropped_faulted, b.packets_dropped_faulted);
+        EXPECT_EQ(a.flits_dropped_faulted, b.flits_dropped_faulted);
+        EXPECT_EQ(a.packets_rerouted, b.packets_rerouted);
+        EXPECT_EQ(a.packets_misdelivered, b.packets_misdelivered);
+        EXPECT_EQ(a.path_reroutes, b.path_reroutes);
+        EXPECT_EQ(a.latency.count(), b.latency.count());
+        EXPECT_EQ(a.latency.mean(), b.latency.mean());
+        EXPECT_EQ(a.latency.max(), b.latency.max());
+        EXPECT_EQ(a.latency_histogram.quantile(0.99),
+                  b.latency_histogram.quantile(0.99));
+        EXPECT_EQ(a.link_utilization, b.link_utilization);
+      }
     }
   }
 }

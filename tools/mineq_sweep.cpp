@@ -32,9 +32,11 @@
 /// derives its RNG stream from (seed, grid index), not from scheduling.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -258,16 +260,52 @@ double parse_double(const std::string& text, const std::string& what) {
   return value;
 }
 
-/// "0.1:1.0:0.1" (inclusive range) or "0.2,0.5,1.0" (explicit list).
-std::vector<double> parse_rates(const std::string& spec) {
+/// parse_u64 narrowed to \p T: a value \p T cannot hold is rejected
+/// with a message naming \p flag instead of wrapping (a bare cast turns
+/// 2^32 + 3 into 3).
+template <class T>
+T parse_narrow(const std::string& text, std::string_view flag,
+               const std::string& what) {
+  const std::uint64_t value = parse_u64(text, what);
+  constexpr auto kMax =
+      static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  if (value > kMax) {
+    fail(std::string(flag) + ": " + what + " must be <= " +
+         std::to_string(kMax) + ", got " + text);
+  }
+  return static_cast<T>(value);
+}
+
+/// "0.1:1.0:0.1" (inclusive range) or "0.2,0.5,1.0" (explicit list) for
+/// option \p flag. Every value must be finite, and a range may expand to
+/// at most kMaxRatePoints points — an unbounded or near-zero-step range
+/// would otherwise exhaust memory instead of failing with a message.
+std::vector<double> parse_rates(const std::string& spec,
+                                std::string_view flag) {
+  constexpr double kMaxRatePoints = 100000;
+  const auto parse_finite = [&](const std::string& text,
+                                const std::string& what) {
+    const double value = parse_double(text, what);
+    if (!std::isfinite(value)) {
+      fail(std::string(flag) + ": " + what + " must be finite, got " + text);
+    }
+    return value;
+  };
   std::vector<double> rates;
   if (spec.find(':') != std::string::npos) {
     const auto parts = split_list(spec, ':');
-    if (parts.size() != 3) fail("rate range must be start:stop:step");
-    const double start = parse_double(parts[0], "rate");
-    const double stop = parse_double(parts[1], "rate");
-    const double step = parse_double(parts[2], "rate step");
-    if (step <= 0.0) fail("rate step must be positive");
+    if (parts.size() != 3) {
+      fail(std::string(flag) + ": rate range must be start:stop:step");
+    }
+    const double start = parse_finite(parts[0], "rate");
+    const double stop = parse_finite(parts[1], "rate");
+    const double step = parse_finite(parts[2], "rate step");
+    if (step <= 0.0) fail(std::string(flag) + ": rate step must be positive");
+    if ((stop - start) / step + 1.0 > kMaxRatePoints) {
+      fail(std::string(flag) + ": rate range " + spec +
+           " expands to more than " +
+           std::to_string(static_cast<long>(kMaxRatePoints)) + " points");
+    }
     for (double rate = start; rate <= stop + 1e-9; rate += step) {
       // Accumulated float error can overshoot stop (0:1:0.05 ends at
       // 1.0000000000000002, which run_sweep would reject); clamp.
@@ -275,7 +313,7 @@ std::vector<double> parse_rates(const std::string& spec) {
     }
   } else {
     for (const std::string& item : split_list(spec, ',')) {
-      rates.push_back(parse_double(item, "rate"));
+      rates.push_back(parse_finite(item, "rate"));
     }
   }
   return rates;
@@ -389,7 +427,7 @@ int main(int argc, char** argv) {
   grid.patterns = {mineq::sim::Pattern::kUniform};
   grid.modes = {mineq::sim::SwitchingMode::kStoreAndForward};
   grid.lane_counts = {1};
-  grid.rates = parse_rates("0.1:1.0:0.1");
+  grid.rates = parse_rates("0.1:1.0:0.1", "--rates");
   grid.base.packet_length = 4;
 
   std::vector<mineq::min::MultiPathKind> fabric_kinds;
@@ -480,14 +518,14 @@ int main(int argc, char** argv) {
           grid.lane_counts.push_back(parse_u64(item, "lane count"));
         }
       } else if (arg == "--rates") {
-        grid.rates = parse_rates(next_value(i));
+        grid.rates = parse_rates(next_value(i), arg);
       } else if (arg == "--fault-kinds") {
         fault_kinds.clear();
         for (const std::string& item : split_list(next_value(i), ',')) {
           fault_kinds.push_back(mineq::fault::parse_fault_kind(item));
         }
       } else if (arg == "--fault-rates") {
-        fault_rates = parse_rates(next_value(i));
+        fault_rates = parse_rates(next_value(i), arg);
       } else if (arg == "--fault-seeds") {
         fault_seeds.clear();
         for (const std::string& item : split_list(next_value(i), ',')) {
@@ -519,18 +557,16 @@ int main(int argc, char** argv) {
         credits_requested = true;
         vl_weights.clear();
         for (const std::string& item : split_list(next_value(i), ',')) {
-          vl_weights.push_back(
-              static_cast<unsigned>(parse_u64(item, "VL weight")));
+          vl_weights.push_back(parse_narrow<unsigned>(item, arg, "VL weight"));
         }
       } else if (arg == "--sl-map") {
         credits_requested = true;
         sl_map.clear();
         for (const std::string& item : split_list(next_value(i), ',')) {
-          sl_map.push_back(
-              static_cast<unsigned>(parse_u64(item, "SL->VL entry")));
+          sl_map.push_back(parse_narrow<unsigned>(item, arg, "SL->VL entry"));
         }
       } else if (arg == "--stages") {
-        grid.stages = static_cast<int>(parse_u64(next_value(i), "stages"));
+        grid.stages = parse_narrow<int>(next_value(i), arg, "stages");
       } else if (arg == "--packet-length") {
         grid.base.packet_length = parse_u64(next_value(i), "packet length");
       } else if (arg == "--lane-depth") {
@@ -554,8 +590,8 @@ int main(int argc, char** argv) {
           workload_kinds.push_back(mineq::workload::parse_kind(item));
         }
       } else if (arg == "--rr-window") {
-        rr_window = static_cast<unsigned>(
-            parse_u64(next_value(i), "request-reply window"));
+        rr_window =
+            parse_narrow<unsigned>(next_value(i), arg, "request-reply window");
       } else if (arg == "--time-compression") {
         time_compression =
             parse_u64(next_value(i), "trace time-compression factor");
