@@ -25,9 +25,9 @@ void print_report() {
     std::string bits = "(none)";
     if (schedule.has_value()) {
       bits.clear();
-      for (std::size_t s = 0; s < schedule->bit.size(); ++s) {
+      for (std::size_t s = 0; s < schedule->digit.size(); ++s) {
         if (s != 0) bits += ' ';
-        bits += 'd' + std::to_string(schedule->bit[s]);
+        bits += 'd' + std::to_string(schedule->digit[s]);
       }
     }
     table.add_row({min::network_name(kind), bits});
@@ -54,10 +54,10 @@ static void BM_RouteWithSchedule(benchmark::State& state) {
   // Omega's schedule is known in closed form (destination MSB-first; see
   // routing_test) — building it directly keeps the fixture O(n) where the
   // generic all-pairs recovery would dominate the benchmark at scale.
-  mineq::min::BitSchedule schedule;
+  mineq::min::DigitSchedule schedule;
   for (int s = 0; s + 1 < n; ++s) {
-    schedule.bit.push_back(n - 2 - s);
-    schedule.invert.push_back(0);
+    schedule.digit.push_back(n - 2 - s);
+    schedule.port_of_value.push_back({0, 1});
   }
   std::uint32_t pair = 0;
   const std::uint32_t cells = g.cells_per_stage();

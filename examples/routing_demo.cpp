@@ -34,10 +34,10 @@ int main(int argc, char** argv) {
     const auto schedule = min::find_bit_schedule(g);
     std::string bits;
     if (schedule.has_value()) {
-      for (std::size_t s = 0; s < schedule->bit.size(); ++s) {
+      for (std::size_t s = 0; s < schedule->digit.size(); ++s) {
         if (s != 0) bits += ' ';
-        bits += 'd' + std::to_string(schedule->bit[s]);
-        if (schedule->invert[s] != 0) bits += '~';
+        bits += 'd' + std::to_string(schedule->digit[s]);
+        if (schedule->port_of_value[s][0] != 0) bits += '~';
       }
     } else {
       bits = "(none)";

@@ -202,8 +202,9 @@ SweepResult run_sweep(const SweepGrid& grid, std::size_t threads) {
   // read-only by every grid point that simulates that fabric
   // (Engine::run is const and thread-safe). No per-point topology work
   // remains: a point only touches its own RNG streams and payload pools.
-  // Radix 2 builds through the binary path (byte-identical to the
-  // pre-radix-axis sweep); radices > 2 flatten the k-ary constructions.
+  // Radix 2 builds every kind's MIDigraph and recovers its schedule
+  // (byte-identical to the pre-radix-axis sweep); radices > 2 flatten
+  // the k-ary constructions, which attach theirs.
   const std::size_t radix_count = grid.radices.size();
   std::vector<std::unique_ptr<sim::Engine>> engines;
   engines.reserve(grid.networks.size() * radix_count);

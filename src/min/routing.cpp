@@ -1,6 +1,7 @@
 #include "min/routing.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "util/bitops.hpp"
 
@@ -43,86 +44,6 @@ std::optional<Route> find_route(const MIDigraph& g, std::uint32_t source,
     route.cells.push_back(x);
   }
   return route;
-}
-
-std::optional<BitSchedule> find_bit_schedule(const MIDigraph& g) {
-  const std::uint32_t cells = g.cells_per_stage();
-  const int n = g.stages();
-  const int w = g.width();
-  if (n < 2) return BitSchedule{};
-
-  // Candidate (bit, invert) per stage: start with all and intersect over
-  // observed routes.
-  std::vector<std::vector<char>> alive(
-      static_cast<std::size_t>(n - 1),
-      std::vector<char>(static_cast<std::size_t>(2 * std::max(w, 1)), 1));
-
-  for (std::uint32_t src = 0; src < cells; ++src) {
-    for (std::uint32_t dst = 0; dst < cells; ++dst) {
-      const auto route = find_route(g, src, dst);
-      if (!route.has_value()) return std::nullopt;
-      for (int s = 0; s + 1 < n; ++s) {
-        auto& stage_alive = alive[static_cast<std::size_t>(s)];
-        const unsigned port = route->ports[static_cast<std::size_t>(s)];
-        for (int b = 0; b < w; ++b) {
-          const unsigned bit = util::get_bit(dst, b);
-          if (bit != port) stage_alive[static_cast<std::size_t>(2 * b)] = 0;
-          if ((bit ^ 1U) != port) {
-            stage_alive[static_cast<std::size_t>(2 * b + 1)] = 0;
-          }
-        }
-      }
-    }
-  }
-
-  BitSchedule schedule;
-  for (int s = 0; s + 1 < n; ++s) {
-    const auto& stage_alive = alive[static_cast<std::size_t>(s)];
-    int chosen = -1;
-    for (int b = 0; b < w && chosen < 0; ++b) {
-      if (stage_alive[static_cast<std::size_t>(2 * b)] != 0) chosen = 2 * b;
-      else if (stage_alive[static_cast<std::size_t>(2 * b + 1)] != 0) {
-        chosen = 2 * b + 1;
-      }
-    }
-    if (chosen < 0) return std::nullopt;
-    schedule.bit.push_back(chosen / 2);
-    schedule.invert.push_back(static_cast<unsigned>(chosen & 1));
-  }
-  return schedule;
-}
-
-Route route_with_schedule(const MIDigraph& g, const BitSchedule& schedule,
-                          std::uint32_t source, std::uint32_t sink) {
-  const int n = g.stages();
-  if (schedule.bit.size() != static_cast<std::size_t>(n - 1) ||
-      schedule.invert.size() != static_cast<std::size_t>(n - 1)) {
-    throw std::invalid_argument("route_with_schedule: schedule arity");
-  }
-  Route route;
-  route.cells.push_back(source);
-  std::uint32_t x = source;
-  for (int s = 0; s + 1 < n; ++s) {
-    const unsigned port =
-        util::get_bit(sink, schedule.bit[static_cast<std::size_t>(s)]) ^
-        schedule.invert[static_cast<std::size_t>(s)];
-    route.ports.push_back(port);
-    const Connection& conn = g.connection(s);
-    x = port == 0 ? conn.f_table()[x] : conn.g_table()[x];
-    route.cells.push_back(x);
-  }
-  return route;
-}
-
-bool verify_bit_schedule(const MIDigraph& g, const BitSchedule& schedule) {
-  const std::uint32_t cells = g.cells_per_stage();
-  for (std::uint32_t src = 0; src < cells; ++src) {
-    for (std::uint32_t dst = 0; dst < cells; ++dst) {
-      const Route route = route_with_schedule(g, schedule, src, dst);
-      if (route.cells.back() != dst) return false;
-    }
-  }
-  return true;
 }
 
 std::optional<DigitSchedule> find_digit_schedule(const FlatWiring& w) {
@@ -220,51 +141,96 @@ std::optional<DigitSchedule> find_digit_schedule(const FlatWiring& w) {
   return schedule;
 }
 
-namespace {
-
-/// Apply a digit schedule over the wiring: the cells visited from
-/// \p source routing toward \p sink.
-std::vector<std::uint32_t> route_with_digit_schedule(
-    const FlatWiring& w, const DigitSchedule& schedule, std::uint32_t source,
-    std::uint32_t sink) {
-  const int n = w.stages();
-  if (schedule.radix != w.radix() ||
-      schedule.digit.size() != static_cast<std::size_t>(n - 1) ||
-      schedule.port_of_value.size() != static_cast<std::size_t>(n - 1)) {
-    throw std::invalid_argument("route_with_digit_schedule: schedule arity");
+void check_schedule_shape(const DigitSchedule& schedule, int stages,
+                          int radix, const char* what) {
+  const auto hops = static_cast<std::size_t>(stages - 1);
+  const auto r = static_cast<std::size_t>(radix);
+  if (schedule.radix != radix || schedule.digit.size() != hops ||
+      schedule.port_of_value.size() != hops) {
+    throw std::invalid_argument(std::string(what) +
+                                " does not match the fabric arity");
   }
-  const auto radix = static_cast<unsigned>(w.radix());
-  std::vector<std::uint32_t> cells_visited;
-  cells_visited.reserve(static_cast<std::size_t>(n));
-  cells_visited.push_back(source);
-  std::uint32_t x = source;
-  for (int s = 0; s + 1 < n; ++s) {
-    std::uint32_t scale = 1;
-    for (int i = 0; i < schedule.digit[static_cast<std::size_t>(s)]; ++i) {
-      scale *= radix;
+  for (std::size_t s = 0; s < hops; ++s) {
+    if (schedule.digit[s] < 0 || schedule.digit[s] + 1 >= stages) {
+      throw std::invalid_argument(std::string(what) +
+                                  " reads an out-of-range digit");
     }
-    const unsigned value = (sink / scale) % radix;
-    const unsigned port =
-        schedule.port_of_value[static_cast<std::size_t>(s)][value];
-    x = w.child(s, x, port);
-    cells_visited.push_back(x);
+    const std::vector<unsigned>& map = schedule.port_of_value[s];
+    if (map.size() != r) {
+      throw std::invalid_argument(std::string(what) +
+                                  " has a non-radix value map");
+    }
+    std::vector<bool> seen(r, false);
+    for (const unsigned port : map) {
+      if (port >= r || seen[port]) {
+        throw std::invalid_argument(std::string(what) +
+                                    " map is not a port bijection");
+      }
+      seen[port] = true;
+    }
   }
-  return cells_visited;
 }
-
-}  // namespace
 
 bool verify_digit_schedule(const FlatWiring& w,
                            const DigitSchedule& schedule) {
+  const int n = w.stages();
+  check_schedule_shape(schedule, n, w.radix(),
+                       "verify_digit_schedule: schedule");
+  const auto radix = static_cast<std::uint32_t>(w.radix());
+  std::vector<std::uint32_t> scale(static_cast<std::size_t>(n - 1), 1);
+  for (std::size_t s = 0; s < scale.size(); ++s) {
+    for (int i = 0; i < schedule.digit[s]; ++i) scale[s] *= radix;
+  }
   const std::uint32_t cells = w.cells_per_stage();
   for (std::uint32_t src = 0; src < cells; ++src) {
     for (std::uint32_t dst = 0; dst < cells; ++dst) {
-      if (route_with_digit_schedule(w, schedule, src, dst).back() != dst) {
-        return false;
+      std::uint32_t x = src;
+      for (int s = 0; s + 1 < n; ++s) {
+        const auto hop = static_cast<std::size_t>(s);
+        x = w.child(s, x,
+                    schedule.port_of_value[hop][(dst / scale[hop]) % radix]);
       }
+      if (x != dst) return false;
     }
   }
   return true;
+}
+
+std::optional<DigitSchedule> find_bit_schedule(const MIDigraph& g) {
+  if (!g.is_valid()) return std::nullopt;
+  return find_digit_schedule(FlatWiring::from_digraph(g));
+}
+
+Route route_with_schedule(const MIDigraph& g, const DigitSchedule& schedule,
+                          std::uint32_t source, std::uint32_t sink) {
+  const int n = g.stages();
+  const auto hops = static_cast<std::size_t>(n - 1);
+  if (schedule.radix != 2 || schedule.digit.size() != hops ||
+      schedule.port_of_value.size() != hops) {
+    throw std::invalid_argument("route_with_schedule: schedule arity");
+  }
+  Route route;
+  route.cells.push_back(source);
+  std::uint32_t x = source;
+  for (int s = 0; s + 1 < n; ++s) {
+    const auto hop = static_cast<std::size_t>(s);
+    const int bit = schedule.digit[hop];
+    const std::vector<unsigned>& map = schedule.port_of_value[hop];
+    if (bit < 0 || bit >= g.width() || map.size() != 2) {
+      throw std::invalid_argument("route_with_schedule: schedule arity");
+    }
+    const unsigned port = map[util::get_bit(sink, bit)];
+    route.ports.push_back(port);
+    const Connection& conn = g.connection(s);
+    x = port == 0 ? conn.f_table()[x] : conn.g_table()[x];
+    route.cells.push_back(x);
+  }
+  return route;
+}
+
+bool verify_bit_schedule(const MIDigraph& g, const DigitSchedule& schedule) {
+  return g.is_valid() &&
+         verify_digit_schedule(FlatWiring::from_digraph(g), schedule);
 }
 
 }  // namespace mineq::min

@@ -195,147 +195,72 @@ void SimConfig::validate() const {
   workload.validate();
 }
 
-void Engine::finish_unipath_geometry() {
-  terminals_ = static_cast<std::uint64_t>(wiring_.radix()) *
-               wiring_.cells_per_stage();
-  address_digits_ = wiring_.stages();
-  logical_radix_ = wiring_.radix();
-  logical_cells_ = wiring_.cells_per_stage();
-}
-
-Engine::Engine(min::MIDigraph network, min::BitSchedule schedule)
-    : network_(std::move(network)), schedule_(std::move(schedule)) {
-  if (!network_->is_valid()) {
-    throw std::invalid_argument("Engine: network has invalid degrees");
-  }
-  if (!min::verify_bit_schedule(*network_, schedule_)) {
-    throw std::invalid_argument("Engine: schedule does not route network");
-  }
-  wiring_ = min::FlatWiring::from_digraph(*network_);
-  finish_unipath_geometry();
-}
-
 namespace {
 
-min::BitSchedule derive_schedule(const min::MIDigraph& network) {
-  auto schedule = min::find_bit_schedule(network);
-  if (!schedule.has_value()) {
-    throw std::invalid_argument(
-        "Engine: network has no destination-bit schedule");
-  }
-  return *schedule;
-}
+/// The all-pairs schedule budget: recovering or verifying a schedule
+/// visits every (source, sink) pair, O(cells^2 * stages), which past
+/// ~4096 cells stops being seconds and becomes an apparent hang (radix 2
+/// wants stages <= 13, radix 8 stages <= 5, radix 16 stages <= 4).
+constexpr std::uint32_t kMaxDigitScheduleCells = 4096;
 
-/// Structural sanity of a construction-attached digit schedule: the
-/// arity must match the fabric and every per-stage map must be a
-/// bijection of the ports. Deliberately O(stages * radix) — the whole
-/// point of attaching a closed-form schedule is skipping the
-/// O(cells^2 * stages * radix) recovery, so routing correctness is the
-/// construction's contract (pinned against min::verify_digit_schedule at
-/// small sizes in the tests), not re-proved per Engine.
-void check_attached_schedule(const min::DigitSchedule& schedule, int stages,
-                             int radix) {
-  const auto hops = static_cast<std::size_t>(stages - 1);
-  const auto r = static_cast<std::size_t>(radix);
-  if (schedule.radix != radix || schedule.digit.size() != hops ||
-      schedule.port_of_value.size() != hops) {
-    throw std::invalid_argument(
-        "Engine: attached digit schedule does not match the fabric arity");
+/// radix^schedule.digit[s] per stage.
+std::vector<std::uint32_t> digit_scales(const min::DigitSchedule& schedule,
+                                        int radix) {
+  std::vector<std::uint32_t> scales;
+  scales.reserve(schedule.digit.size());
+  for (const int digit : schedule.digit) {
+    std::uint32_t scale = 1;
+    for (int i = 0; i < digit; ++i) scale *= static_cast<std::uint32_t>(radix);
+    scales.push_back(scale);
   }
-  for (std::size_t s = 0; s < hops; ++s) {
-    if (schedule.digit[s] < 0 || schedule.digit[s] + 1 >= stages) {
-      throw std::invalid_argument(
-          "Engine: attached digit schedule reads an out-of-range digit");
-    }
-    const std::vector<unsigned>& map = schedule.port_of_value[s];
-    if (map.size() != r) {
-      throw std::invalid_argument(
-          "Engine: attached digit schedule has a non-radix value map");
-    }
-    std::vector<bool> seen(r, false);
-    for (const unsigned port : map) {
-      if (port >= r || seen[port]) {
-        throw std::invalid_argument(
-            "Engine: attached digit schedule map is not a port bijection");
-      }
-      seen[port] = true;
-    }
-  }
-}
-
-/// The radix-2 special case of a digit schedule as a BitSchedule:
-/// bit[s] is the scheduled digit and invert[s] falls out of where the
-/// value map sends 0 (identity -> 0, swap -> 1).
-min::BitSchedule bit_schedule_from_digits(const min::DigitSchedule& digits) {
-  min::BitSchedule schedule;
-  schedule.bit.assign(digits.digit.begin(), digits.digit.end());
-  schedule.invert.reserve(digits.port_of_value.size());
-  for (const std::vector<unsigned>& map : digits.port_of_value) {
-    schedule.invert.push_back(map[0]);
-  }
-  return schedule;
+  return scales;
 }
 
 }  // namespace
 
-Engine::Engine(min::MIDigraph network)
-    : Engine(network, derive_schedule(network)) {}
+Engine::Engine(const min::MIDigraph& network,
+               const min::DigitSchedule& schedule)
+    : wiring_(min::FlatWiring::from_digraph(network)) {
+  finish_unipath(&schedule, /*verify=*/true);
+}
 
-Engine::Engine(const min::KaryMIDigraph& network) {
-  if (!network.is_valid()) {
-    throw std::invalid_argument("Engine: network has invalid degrees");
+Engine::Engine(const min::MIDigraph& network)
+    : wiring_(min::FlatWiring::from_digraph(network)) {
+  finish_unipath(nullptr, /*verify=*/false);
+}
+
+Engine::Engine(const min::KaryMIDigraph& network)
+    : wiring_(min::FlatWiring::from_kary(network)) {
+  // A construction-attached closed-form schedule (the built-in
+  // omega/flip/baseline kinds) is the construction's contract, pinned
+  // against min::verify_digit_schedule at small sizes in the tests, so
+  // it is shape-checked only and skips the budget.
+  finish_unipath(network.schedule() ? &*network.schedule() : nullptr,
+                 /*verify=*/false);
+}
+
+void Engine::finish_unipath(const min::DigitSchedule* given, bool verify) {
+  const int radix = wiring_.radix();
+  if ((given == nullptr || verify) &&
+      wiring_.cells_per_stage() > kMaxDigitScheduleCells) {
+    throw std::invalid_argument(
+        "Engine: radix-" + std::to_string(radix) + " fabric with " +
+        std::to_string(wiring_.cells_per_stage()) +
+        " cells per stage exceeds the digit-schedule recovery budget (" +
+        std::to_string(kMaxDigitScheduleCells) +
+        " cells; recovering or verifying a schedule visits every "
+        "source-sink pair); reduce stages or radix, or build an omega, "
+        "flip or baseline fabric through min::build_kary_network, which "
+        "attaches its closed-form schedule and skips recovery");
   }
-  if (network.radix() == 2) {
-    // The binary path: convert the tables so radix-2 KaryMIDigraph runs
-    // are byte-identical to the MIDigraph constructor's.
-    std::vector<min::Connection> connections;
-    connections.reserve(static_cast<std::size_t>(network.stages() - 1));
-    for (int s = 0; s + 1 < network.stages(); ++s) {
-      connections.emplace_back(network.connection(s).table(0),
-                               network.connection(s).table(1),
-                               network.stages() - 1);
+  if (given != nullptr) {
+    min::check_schedule_shape(*given, wiring_.stages(), radix,
+                              "Engine: schedule");
+    if (verify && !min::verify_digit_schedule(wiring_, *given)) {
+      throw std::invalid_argument("Engine: schedule does not route network");
     }
-    network_.emplace(network.stages(), std::move(connections));
-    if (network.schedule().has_value()) {
-      // The construction attached its closed-form schedule: adopt it
-      // (as the binary special case) instead of spending the
-      // O(cells^2 * stages) recovery, so built-in fabrics construct in
-      // linear time at any size.
-      check_attached_schedule(*network.schedule(), network.stages(), 2);
-      schedule_ = bit_schedule_from_digits(*network.schedule());
-    } else {
-      schedule_ = derive_schedule(*network_);
-    }
-    wiring_ = min::FlatWiring::from_digraph(*network_);
-    finish_unipath_geometry();
-    return;
-  }
-  wiring_ = min::FlatWiring::from_kary(network);
-  if (network.schedule().has_value()) {
-    // Closed-form schedule attached by the construction (the built-in
-    // omega/flip/baseline kinds): no recovery needed, no size cap — the
-    // cap below only gates truly unknown wirings.
-    check_attached_schedule(*network.schedule(), network.stages(),
-                            network.radix());
-    digit_schedule_ = *network.schedule();
+    digit_schedule_ = *given;
   } else {
-    // Digit-schedule recovery is O(cells^2 * stages * radix) — the same
-    // all-pairs budget the binary find_bit_schedule has always spent
-    // ("intended for n up to ~10", routing.hpp). Past ~4096 cells that
-    // stops being seconds and becomes an apparent hang, so reject the
-    // geometry with advice instead of stalling (radix 8 wants stages <=
-    // 5, radix 16 stages <= 4).
-    constexpr std::uint32_t kMaxDigitScheduleCells = 4096;
-    if (wiring_.cells_per_stage() > kMaxDigitScheduleCells) {
-      throw std::invalid_argument(
-          "Engine: radix-" + std::to_string(network.radix()) +
-          " fabric with " + std::to_string(wiring_.cells_per_stage()) +
-          " cells per stage exceeds the digit-schedule recovery budget (" +
-          std::to_string(kMaxDigitScheduleCells) +
-          " cells); reduce stages or radix, or build the fabric through "
-          "the closed-form min::build_kary_network constructors, which "
-          "attach their digit schedules and skip recovery entirely");
-    }
     auto schedule = min::find_digit_schedule(wiring_);
     if (!schedule.has_value()) {
       throw std::invalid_argument(
@@ -343,15 +268,11 @@ Engine::Engine(const min::KaryMIDigraph& network) {
     }
     digit_schedule_ = std::move(*schedule);
   }
-  digit_scale_.reserve(digit_schedule_.digit.size());
-  for (const int digit : digit_schedule_.digit) {
-    std::uint32_t scale = 1;
-    for (int i = 0; i < digit; ++i) {
-      scale *= static_cast<std::uint32_t>(wiring_.radix());
-    }
-    digit_scale_.push_back(scale);
-  }
-  finish_unipath_geometry();
+  digit_scale_ = digit_scales(digit_schedule_, radix);
+  terminals_ = static_cast<std::uint64_t>(radix) * wiring_.cells_per_stage();
+  address_digits_ = wiring_.stages();
+  logical_radix_ = radix;
+  logical_cells_ = wiring_.cells_per_stage();
 }
 
 Engine::Engine(min::MultiPathWiring fabric)
@@ -367,14 +288,7 @@ Engine::Engine(min::MultiPathWiring fabric)
   // Digit scales in the *logical* radix (identity placeholders at free
   // connections scale by digit 0, harmlessly — route_group checks the
   // free flag first).
-  digit_scale_.reserve(digit_schedule_.digit.size());
-  for (const int digit : digit_schedule_.digit) {
-    std::uint32_t scale = 1;
-    for (int i = 0; i < digit; ++i) {
-      scale *= static_cast<std::uint32_t>(logical_radix_);
-    }
-    digit_scale_.push_back(scale);
-  }
+  digit_scale_ = digit_scales(digit_schedule_, logical_radix_);
 }
 
 const min::MultiPathWiring& Engine::fabric() const {
@@ -383,15 +297,6 @@ const min::MultiPathWiring& Engine::fabric() const {
         "Engine::fabric: this engine was not built from a MultiPathWiring");
   }
   return *fabric_;
-}
-
-const min::MIDigraph& Engine::network() const {
-  if (!network_.has_value()) {
-    throw std::logic_error(
-        "Engine::network: a radix > 2 engine has no MIDigraph "
-        "representation (use wiring())");
-  }
-  return *network_;
 }
 
 unsigned Engine::route_port_general(int stage,
@@ -716,10 +621,10 @@ class StoreAndForwardPolicy
     std::uint32_t digit_scale = 1;
     const std::uint32_t* port_of_value = nullptr;
     if constexpr (kBinary) {
+      const min::DigitSchedule& schedule = core_.engine().digit_schedule();
       bit_shift = static_cast<unsigned>(
-          core_.engine().schedule().bit[static_cast<std::size_t>(s)]);
-      bit_invert =
-          core_.engine().schedule().invert[static_cast<std::size_t>(s)];
+          schedule.digit[static_cast<std::size_t>(s)]);
+      bit_invert = schedule.port_of_value[static_cast<std::size_t>(s)][0];
     } else {
       digit_scale = core_.engine().route_digit_scale(s);
       port_of_value = core_.engine()

@@ -5,9 +5,9 @@
 /// The paper's networks are communication fabrics for parallel machines;
 /// this engine exercises the constructed topologies end-to-end. Model:
 /// input-buffered r x r switches, one flit per link per cycle,
-/// destination-digit routing (bit schedules for r = 2 via
-/// min/routing.hpp, base-r digit schedules via min::find_digit_schedule
-/// otherwise), round-robin arbitration on output-port conflicts,
+/// destination-digit routing (one min::DigitSchedule at every radix; at
+/// r = 2 it reads destination bits), round-robin arbitration on
+/// output-port conflicts,
 /// Bernoulli injection per terminal (optionally modulated by the
 /// two-state bursty on/off process). Everything is deterministic given
 /// the seed.
@@ -419,21 +419,32 @@ struct SimResult {
 /// thread-safe on a const Engine.
 class Engine {
  public:
-  /// \p schedule must be a valid destination-bit schedule for \p network
-  /// (see min::find_bit_schedule); the pair is verified on construction.
-  Engine(min::MIDigraph network, min::BitSchedule schedule);
+  /// A radix-2 engine routing by \p schedule, a destination-bit schedule
+  /// for \p network (see min::find_bit_schedule). The schedule's shape is
+  /// checked (min::check_schedule_shape) and that it routes every pair is
+  /// verified, an all-pairs pass under the same cell budget as recovery.
+  /// \throws std::invalid_argument if the network has invalid degrees,
+  /// the schedule is malformed or does not route the network, or the
+  /// network has more than 4096 cells per stage.
+  Engine(const min::MIDigraph& network, const min::DigitSchedule& schedule);
 
-  /// Convenience: derive the schedule from the network.
-  /// \throws std::invalid_argument if the network has no bit schedule.
-  explicit Engine(min::MIDigraph network);
+  /// A radix-2 engine routing by the schedule recovered from \p network
+  /// (min::find_digit_schedule over its flat wiring).
+  /// \throws std::invalid_argument if the network has invalid degrees or
+  /// no destination-bit schedule, or has more than 4096 cells per stage
+  /// (the recovery budget: past it the all-pairs pass takes minutes).
+  explicit Engine(const min::MIDigraph& network);
 
-  /// A radix-r engine over a KaryMIDigraph: flattens through
-  /// min::FlatWiring::from_kary and routes by the recovered
-  /// destination-digit schedule. A radix-2 KaryMIDigraph takes the
-  /// binary path (tables converted, bit schedule derived) so its runs
-  /// are byte-identical to the MIDigraph constructor's.
-  /// \throws std::invalid_argument if the network is invalid or has no
-  /// digit schedule.
+  /// A radix-r engine over a KaryMIDigraph, flattened through
+  /// min::FlatWiring::from_kary (equal to from_digraph on the same tables
+  /// at r = 2, so its runs are byte-identical to the MIDigraph
+  /// constructor's). It routes by the schedule the construction attached
+  /// (shape-checked only, so it builds in linear time at any size; see
+  /// min::build_kary_network) or else by the recovered one, under the
+  /// same budget as above.
+  /// \throws std::invalid_argument if the network has invalid degrees, a
+  /// malformed attached schedule, or, without one, no digit schedule or
+  /// more than 4096 cells per stage.
   explicit Engine(const min::KaryMIDigraph& network);
 
   /// An engine over a multipath fabric: packets carry *logical* terminal
@@ -461,23 +472,14 @@ class Engine {
                               const fault::FaultMask* mask = nullptr,
                               SimWorkspace* workspace = nullptr) const;
 
-  /// The binary MI-digraph this engine was built from. Only present on
-  /// radix-2 engines; a radix > 2 engine has no table representation.
-  /// \throws std::logic_error on a radix > 2 engine.
-  [[nodiscard]] const min::MIDigraph& network() const;
-
-  /// The binary destination-bit schedule (radix-2 engines; empty on
-  /// radix > 2 engines, which route by digit_schedule()).
-  [[nodiscard]] const min::BitSchedule& schedule() const noexcept {
-    return schedule_;
-  }
-  /// The destination-digit schedule (radix > 2 engines; empty otherwise).
+  /// The destination-digit schedule every engine routes by (on a
+  /// multipath engine, the fabric's, in the logical radix).
   [[nodiscard]] const min::DigitSchedule& digit_schedule() const noexcept {
     return digit_schedule_;
   }
   /// radix^digit_schedule().digit[stage] — the divisor that extracts the
-  /// scheduled digit (radix > 2 engines; the policies hoist it per
-  /// stage).
+  /// scheduled digit (the radix > 2 policies hoist it per stage; the
+  /// radix-2 ones shift by the digit instead).
   [[nodiscard]] std::uint32_t route_digit_scale(int stage) const {
     return digit_scale_[static_cast<std::size_t>(stage)];
   }
@@ -552,21 +554,20 @@ class Engine {
 
   /// The out-port a packet for \p dest_terminal takes at \p stage: the
   /// scheduled destination bit/digit at inner stages, the terminal's low
-  /// digit at the last (ejection) stage. The radix-2 path is inline —
-  /// it sits in both policies' per-probe hot loops; digit routing and
-  /// the out-of-range throw live out of line (route_port_general).
+  /// digit at the last (ejection) stage. The radix-2 path shifts instead
+  /// of dividing; digit routing and the out-of-range throw live out of
+  /// line (route_port_general). The policies do not call this per probe:
+  /// they hoist the same per-stage reads out of their loops.
   /// \throws std::invalid_argument on an out-of-range stage.
   [[nodiscard]] unsigned route_port(int stage,
                                     std::uint32_t dest_terminal) const {
     if (wiring_.radix() == 2 && stage >= 0 && stage < wiring_.stages())
         [[likely]] {
       if (stage + 1 == wiring_.stages()) return dest_terminal & 1U;
-      const std::uint32_t dest_cell = dest_terminal >> 1;
+      const auto hop = static_cast<std::size_t>(stage);
       return static_cast<unsigned>(
-                 (dest_cell >>
-                  schedule_.bit[static_cast<std::size_t>(stage)]) &
-                 1U) ^
-             schedule_.invert[static_cast<std::size_t>(stage)];
+                 ((dest_terminal >> 1) >> digit_schedule_.digit[hop]) & 1U) ^
+             digit_schedule_.port_of_value[hop][0];
     }
     return route_port_general(stage, dest_terminal);
   }
@@ -575,12 +576,12 @@ class Engine {
   /// Digit routing (radix > 2) and the out-of-range throw.
   [[nodiscard]] unsigned route_port_general(int stage,
                                             std::uint32_t dest_terminal) const;
-  /// Copy the physical wiring's shape into the logical-geometry members
-  /// (every unipath constructor's last step).
-  void finish_unipath_geometry();
-  std::optional<min::MIDigraph> network_;  ///< radix-2 engines only
-  min::BitSchedule schedule_;              ///< radix-2 engines only
-  min::DigitSchedule digit_schedule_;      ///< radix > 2 and multipath
+  /// Every unipath constructor's last step, once wiring_ is set: route
+  /// by \p given (shape-checked, and with \p verify checked to route
+  /// every pair) or, when null, by the schedule recovered from wiring_;
+  /// then fill digit_scale_ and the logical geometry.
+  void finish_unipath(const min::DigitSchedule* given, bool verify);
+  min::DigitSchedule digit_schedule_;
   /// radix^digit_schedule_.digit[s] per stage, so route_port reads the
   /// scheduled digit with one division (logical radix on multipath
   /// engines, with identity placeholders at free connections).

@@ -344,11 +344,11 @@ class WormholePolicy
     const std::uint32_t* port_of_value = nullptr;
     if (!target_ejects) {
       if constexpr (kBinary) {
+        const min::DigitSchedule& schedule = core_.engine().digit_schedule();
         bit_shift = static_cast<unsigned>(
-            core_.engine().schedule().bit[static_cast<std::size_t>(s + 1)]);
-        bit_invert = core_.engine()
-                         .schedule()
-                         .invert[static_cast<std::size_t>(s + 1)];
+            schedule.digit[static_cast<std::size_t>(s + 1)]);
+        bit_invert =
+            schedule.port_of_value[static_cast<std::size_t>(s + 1)][0];
       } else {
         digit_scale = core_.engine().route_digit_scale(s + 1);
         port_of_value = core_.engine()

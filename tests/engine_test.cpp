@@ -33,9 +33,9 @@ TEST(EngineTest, ConstructionRejectsNonRoutableNetwork) {
 
 TEST(EngineTest, ConstructionRejectsWrongSchedule) {
   const min::MIDigraph g = min::baseline_network(3);
-  min::BitSchedule wrong;
-  wrong.bit = {0, 0};  // correct schedule is MSB-first
-  wrong.invert = {0, 0};
+  min::DigitSchedule wrong;
+  wrong.digit = {0, 0};  // correct schedule is MSB-first
+  wrong.port_of_value = {{0, 1}, {0, 1}};
   EXPECT_THROW((void)Engine(g, wrong), std::invalid_argument);
 }
 

@@ -2,8 +2,8 @@
 /// \brief Closed-form digit schedules for the built-in k-ary
 /// constructions: equivalence to the recovered schedule at small sizes,
 /// schedule attachment plumbing, and the end-to-end payoff — Engine
-/// construction above the old find_digit_schedule cell cap, which now
-/// only gates truly unknown wirings.
+/// construction above the find_digit_schedule cell budget, which only
+/// gates wirings without an attached schedule.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,7 @@ constexpr NetworkKind kKaryKinds[] = {
     NetworkKind::kOmega, NetworkKind::kFlip, NetworkKind::kBaseline};
 
 /// The hand-derived schedules must be exactly what the exhaustive
-/// all-pairs recovery finds (the schedule of a Banyan digit-routable
+/// per-sink recovery finds (the schedule of a Banyan digit-routable
 /// fabric is unique: unique paths determine every port).
 TEST(KaryScheduleTest, ClosedFormEqualsRecoveredSchedule) {
   for (const NetworkKind kind : kKaryKinds) {
@@ -84,16 +84,17 @@ TEST(KaryScheduleTest, EngineRejectsCorruptAttachedSchedule) {
   EXPECT_THROW(sim::Engine{g2}, std::invalid_argument);
 }
 
-/// A radix-2 KaryMIDigraph adopts the attached schedule through the
-/// binary conversion — runs must stay byte-identical to the MIDigraph
-/// engine, whose schedule is recovered by the all-pairs search.
+/// A radix-2 KaryMIDigraph adopts the attached schedule over the same
+/// flat wiring — runs must stay byte-identical to the MIDigraph engine,
+/// whose schedule is recovered by find_digit_schedule.
 TEST(KaryScheduleTest, RadixTwoAdoptionMatchesBinaryEngine) {
   for (const NetworkKind kind : kKaryKinds) {
     const sim::Engine binary(build_network(kind, 5));
     const sim::Engine kary(build_kary_network(kind, 5, 2));
-    ASSERT_EQ(binary.schedule().bit, kary.schedule().bit)
+    ASSERT_EQ(binary.digit_schedule().digit, kary.digit_schedule().digit)
         << network_name(kind);
-    ASSERT_EQ(binary.schedule().invert, kary.schedule().invert)
+    ASSERT_EQ(binary.digit_schedule().port_of_value,
+              kary.digit_schedule().port_of_value)
         << network_name(kind);
     sim::SimConfig config;
     config.injection_rate = 0.6;
@@ -109,11 +110,11 @@ TEST(KaryScheduleTest, RadixTwoAdoptionMatchesBinaryEngine) {
   }
 }
 
-/// The payoff: fabrics far above the old 4096-cell recovery budget
+/// The payoff: fabrics far above the 4096-cell recovery budget
 /// construct in linear time off the attached schedule and simulate end
-/// to end. Radix 2 at 14 stages is 8192 cells per stage (the all-pairs
-/// bit-schedule recovery would grind for minutes); radix 4 at 8 stages
-/// is 16384 cells, which the cap used to reject outright.
+/// to end. Radix 2 at 14 stages is 8192 cells per stage and radix 4 at
+/// 8 stages 16384 cells; without an attached schedule the budget would
+/// reject both.
 TEST(KaryScheduleTest, AboveCapNetworksSimulateEndToEnd) {
   struct Case {
     int stages;
