@@ -6,6 +6,8 @@
 
 #include "min/banyan.hpp"
 #include "min/equivalence.hpp"
+#include "min/flat_wiring.hpp"
+#include "min/kary.hpp"
 #include "min/networks.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
@@ -75,7 +77,27 @@ static void BM_BanyanCheckClassical(benchmark::State& state) {
   }
   state.SetComplexityN(std::int64_t{1} << (n - 1));
 }
-BENCHMARK(BM_BanyanCheckClassical)->DenseRange(4, 12, 2)->Complexity();
+BENCHMARK(BM_BanyanCheckClassical)->DenseRange(4, 14, 2)->Complexity();
+
+static void BM_BanyanCheckFlatWiring(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto w = mineq::min::FlatWiring::from_digraph(
+      mineq::min::build_network(mineq::min::NetworkKind::kBaseline, n));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mineq::min::is_banyan(w));
+  }
+}
+BENCHMARK(BM_BanyanCheckFlatWiring)->DenseRange(4, 14, 2);
+
+/// Radix-4 baseline with stages 3..6: 16 to 1024 cells per stage.
+static void BM_BanyanCheckKary(benchmark::State& state) {
+  const int stages = static_cast<int>(state.range(0));
+  const auto g = mineq::min::kary_baseline(stages, 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mineq::min::kary_is_banyan(g));
+  }
+}
+BENCHMARK(BM_BanyanCheckKary)->DenseRange(3, 6, 1);
 
 static void BM_BanyanDoubling(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -43,7 +43,7 @@ constexpr std::uint32_t kFlattenWorthwhileCells = 128;
 
 EquivalenceReport check_baseline_equivalence(const MIDigraph& g) {
   const bool flatten_profiles = g.cells_per_stage() >= kFlattenWorthwhileCells;
-  // Fail-fast order: the degree scan and the early-exiting Banyan DP run
+  // Fail-fast order: the degree scan and the early-exiting Banyan check run
   // straight off the image tables, so networks that fail (the common
   // case when classifying random candidates) never pay for flattening.
   // Only a Banyan survivor at IR-worthwhile size is flattened — once —
@@ -107,8 +107,8 @@ FaultedClassification classify_faulted(const FlatWiring& w,
   if (mask.none()) {
     // Pristine fast path: run_sweep classifies every {network, fault
     // spec} pair serially before fanning the grid out, and the default
-    // no-fault spec must not pay the per-source path DP — the word-wide
-    // bitset Banyan check is the 2-3x faster route at n >= 10. A Banyan
+    // no-fault spec must not pay the per-source path DP — the
+    // word-parallel Banyan kernel decides 256 sources per sweep. A Banyan
     // fabric has exactly one path per pair, so full access is implied.
     const EquivalenceReport pristine = check_baseline_equivalence(w);
     out.banyan = pristine.banyan;

@@ -37,15 +37,16 @@ struct EquivalenceReport {
 };
 
 /// Run the full characterization check (degree validity, Banyan, both
-/// component profiles). O(stages * cells^2) dominated by the Banyan
-/// check. Fail-fast: degree and Banyan failures are detected straight
-/// off the image tables; a Banyan survivor is flattened to a FlatWiring
-/// once and the component profiles run over the packed records.
+/// component profiles), dominated by the Banyan check's
+/// O(stages * cells^2 / 64) word operations. Fail-fast: degree and
+/// Banyan failures are detected straight off the image tables; a Banyan
+/// survivor is flattened to a FlatWiring once and the component
+/// profiles run over the packed records.
 [[nodiscard]] EquivalenceReport check_baseline_equivalence(const MIDigraph& g);
 
 /// Same checks over a prebuilt wiring IR — the path for callers that
 /// already hold the FlatWiring (sweeps, repeated classification): no
-/// flattening, the bitset-doubling Banyan check and the DSU component
+/// flattening, the word-parallel Banyan kernel and the DSU component
 /// profiles all consume the packed records. A constructible FlatWiring
 /// is valid by definition, so valid_degrees is always true here.
 [[nodiscard]] EquivalenceReport check_baseline_equivalence(
@@ -84,8 +85,8 @@ struct FaultedClassification {
 };
 
 /// Classify the faulted fabric (w, mask). Runs the per-source saturating
-/// path-count DP over surviving arcs — the doubling criterion needs
-/// out-degree exactly 2, so under faults path counts are the criterion:
+/// path-count DP over surviving arcs — the Banyan kernel needs intact
+/// out-degrees, so under faults path counts are the criterion:
 /// full access is "all counts >= 1", Banyan is "all counts == 1". With an
 /// empty mask the verdicts coincide with is_banyan /
 /// check_baseline_equivalence (asserted in the tests).

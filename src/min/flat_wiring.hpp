@@ -203,7 +203,7 @@ class FlatWiring {
   std::vector<std::uint32_t> up_;
 };
 
-/// Compile-time radix-2 unpacker: hot kernels (Banyan bitset sweeps, DSU
+/// Compile-time radix-2 unpacker: hot kernels (the Banyan kernel, DSU
 /// profiles, the masked path DP, both simulator policies) dispatch on
 /// radix() == 2 to an instantiation over this type, so radix-2 code paths
 /// keep their historic shift/mask code generation (no runtime division)

@@ -484,32 +484,6 @@ KaryMIDigraph build_kary_network(NetworkKind kind, int stages, int radix) {
   }
 }
 
-bool kary_is_banyan(const KaryMIDigraph& g) {
-  const std::uint32_t cells = g.cells_per_stage();
-  std::vector<std::uint64_t> counts(cells);
-  std::vector<std::uint64_t> next(cells);
-  for (std::uint32_t source = 0; source < cells; ++source) {
-    std::fill(counts.begin(), counts.end(), 0);
-    counts[source] = 1;
-    for (int s = 0; s + 1 < g.stages(); ++s) {
-      const KaryConnection& conn = g.connection(s);
-      std::fill(next.begin(), next.end(), 0);
-      for (std::uint32_t x = 0; x < cells; ++x) {
-        if (counts[x] == 0) continue;
-        for (unsigned t = 0; t < static_cast<unsigned>(g.radix()); ++t) {
-          auto& target = next[conn.table(t)[x]];
-          target = std::min<std::uint64_t>(2, target + counts[x]);
-        }
-      }
-      counts.swap(next);
-    }
-    for (std::uint64_t c : counts) {
-      if (c != 1) return false;
-    }
-  }
-  return true;
-}
-
 std::size_t kary_component_count_range(const KaryMIDigraph& g, int lo,
                                        int hi) {
   if (lo < 0 || hi >= g.stages() || lo > hi) {

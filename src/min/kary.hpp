@@ -209,7 +209,11 @@ class KaryMIDigraph {
 [[nodiscard]] DigitSchedule kary_network_schedule(NetworkKind kind, int stages,
                                                   int radix);
 
-/// Banyan property (unique first-to-last paths).
+/// Banyan property (unique first-to-last paths). Runs the shared
+/// word-parallel kernel of banyan.hpp's is_banyan (defined beside it in
+/// banyan.cpp) straight off the r image tables: the verdict equals the
+/// path-count definition for any tables, in O(stages * cells^2 * r / 64)
+/// word operations and O(cells) words of scratch.
 [[nodiscard]] bool kary_is_banyan(const KaryMIDigraph& g);
 
 /// Component count of the stage range [lo, hi].

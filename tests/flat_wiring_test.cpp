@@ -1,7 +1,7 @@
 /// \file flat_wiring_test.cpp
 /// \brief The stage-packed wiring IR: structural invariants, agreement
 /// between the two constructors, and agreement of the FlatWiring fast
-/// paths (Banyan DP, component profiles, equivalence verdicts) with the
+/// paths (Banyan kernel, component profiles, equivalence verdicts) with the
 /// MIDigraph-table implementations.
 
 #include "min/flat_wiring.hpp"

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "min/baseline.hpp"
 #include "min/banyan.hpp"
+#include "min/flat_wiring.hpp"
 #include "min/properties.hpp"
 #include "test_seed.hpp"
 #include "util/rng.hpp"
@@ -250,6 +253,96 @@ TEST(KaryTest, DigraphValidation) {
       KaryConnection::random_valid(3, 1, rng)};
   EXPECT_THROW((void)KaryMIDigraph(3, 3, std::move(wrong)),
                std::invalid_argument);
+}
+
+/// The saturating per-source path-count DP that decided kary_is_banyan
+/// before the shared word-parallel kernel, kept as its reference.
+bool reference_kary_is_banyan(const KaryMIDigraph& g) {
+  const std::uint32_t cells = g.cells_per_stage();
+  std::vector<std::uint64_t> counts(cells);
+  std::vector<std::uint64_t> next(cells);
+  for (std::uint32_t source = 0; source < cells; ++source) {
+    std::fill(counts.begin(), counts.end(), 0);
+    counts[source] = 1;
+    for (int s = 0; s + 1 < g.stages(); ++s) {
+      const KaryConnection& conn = g.connection(s);
+      std::fill(next.begin(), next.end(), 0);
+      for (std::uint32_t x = 0; x < cells; ++x) {
+        if (counts[x] == 0) continue;
+        for (unsigned t = 0; t < static_cast<unsigned>(g.radix()); ++t) {
+          auto& target = next[conn.table(t)[x]];
+          target = std::min<std::uint64_t>(2, target + counts[x]);
+        }
+      }
+      counts.swap(next);
+    }
+    for (std::uint64_t c : counts) {
+      if (c != 1) return false;
+    }
+  }
+  return true;
+}
+
+/// Child tables drawn with no degree constraint.
+KaryConnection random_table_connection(int radix, int digits,
+                                       util::SplitMix64& rng) {
+  const std::uint32_t cells = RadixLabel(radix, digits).cells();
+  std::vector<std::vector<std::uint32_t>> tables(
+      static_cast<std::size_t>(radix), std::vector<std::uint32_t>(cells));
+  for (auto& table : tables) {
+    for (std::uint32_t& child : table) {
+      child = static_cast<std::uint32_t>(rng.below(cells));
+    }
+  }
+  return KaryConnection(std::move(tables), radix, digits);
+}
+
+TEST(KaryTest, BanyanKernelMatchesPathCountReference) {
+  // Radix 3 up to 729 cells and radix 4 up to 1024 cross the one-word,
+  // two-word and partial 256-source block sizes of the shared kernel.
+  MINEQ_SEEDED_RNG(rng, 239);
+  int banyan = 0;
+  for (const int radix : {3, 4}) {
+    for (int stages = 1; stages <= (radix == 3 ? 7 : 6); ++stages) {
+      const int digits = stages - 1;
+      std::vector<KaryMIDigraph> networks;
+      if (stages == 1) {
+        networks.emplace_back(1, radix, std::vector<KaryConnection>{});
+      }
+      for (int trial = 0; stages > 1 && trial < 3; ++trial) {
+        for (int family = 0; family < 3; ++family) {
+          std::vector<KaryConnection> connections;
+          for (int s = 0; s < digits; ++s) {
+            connections.push_back(
+                family == 0   ? KaryConnection::random_valid(radix, digits, rng)
+                : family == 1 ? KaryConnection::random_independent_aligned(
+                                    radix, digits, rng)
+                              : random_table_connection(radix, digits, rng));
+          }
+          networks.emplace_back(stages, radix, std::move(connections));
+        }
+      }
+      if (stages > 1) {
+        networks.push_back(kary_omega(stages, radix));
+        networks.push_back(kary_flip(stages, radix));
+        networks.push_back(kary_baseline(stages, radix));
+      }
+      for (std::size_t i = 0; i < networks.size(); ++i) {
+        const KaryMIDigraph& g = networks[i];
+        SCOPED_TRACE("radix=" + std::to_string(radix) +
+                     " stages=" + std::to_string(stages) + " network " +
+                     std::to_string(i));
+        const bool expected = reference_kary_is_banyan(g);
+        banyan += expected ? 1 : 0;
+        EXPECT_EQ(kary_is_banyan(g), expected);
+        if (!g.is_valid()) continue;
+        const FlatWiring w = FlatWiring::from_kary(g);
+        EXPECT_EQ(is_banyan(w), expected);
+        EXPECT_EQ(is_banyan(w, /*threads=*/3), expected);
+      }
+    }
+  }
+  EXPECT_GT(banyan, 30);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "exp/report.hpp"
 #include "exp/sweep.hpp"
 #include "fault/fault_model.hpp"
+#include "min/banyan.hpp"
 #include "min/equivalence.hpp"
 #include "multipath/diversity.hpp"
 #include "multipath/looping.hpp"
@@ -124,6 +125,34 @@ TEST(MultiPathWiringTest, ExtractedPlanesAreBaselineEquivalent) {
     }
   }
   EXPECT_THROW((void)fabrics[0].unipath_plane(2), std::out_of_range);
+}
+
+TEST(MultiPathWiringTest, WholeFabricsFollowThePathCountDefinition) {
+  // A whole multipath wiring is never Banyan: Benes and dilated fabrics
+  // have many paths per pair, and a replicated fabric's planes never
+  // reach each other (more cells than radix^(stages-1) paths per source).
+  // The pristine survivor report reads full access off the path counts.
+  const MultiPathWiring fabrics[] = {
+      MultiPathWiring::benes(3, 2),
+      MultiPathWiring::dilated(NetworkKind::kOmega, 3, 2, 2),
+      MultiPathWiring::replicated(NetworkKind::kOmega, 3, 2, 3),
+  };
+  for (const MultiPathWiring& fabric : fabrics) {
+    const min::FlatWiring& w = fabric.wiring();
+    SCOPED_TRACE(min::multipath_kind_name(fabric.kind()));
+    bool full_access = true;
+    for (std::uint32_t u = 0; u < w.cells_per_stage(); ++u) {
+      for (const std::uint64_t c : min::path_counts_from(w, u, 2)) {
+        full_access = full_access && c >= 1;
+      }
+    }
+    EXPECT_FALSE(min::is_banyan(w));
+    const min::FaultedClassification c =
+        min::classify_faulted(w, fault::FaultMask(w));
+    EXPECT_FALSE(c.banyan);
+    EXPECT_EQ(c.full_access, full_access);
+    EXPECT_EQ(full_access, fabric.kind() != MultiPathKind::kReplicated);
+  }
 }
 
 // ------------------------------------------------------------- diversity
