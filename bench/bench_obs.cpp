@@ -144,3 +144,17 @@ static void BM_WormholeObsAll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WormholeObsAll)->Arg(6)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// One collector alone: flow stats on the 256-terminal fabric, where the
+// per-flow tables are largest (terminals^2 = 65,536 flows).
+static void BM_WormholeObsFlows(benchmark::State& state) {
+  const Engine engine(
+      mineq::min::build_network(mineq::min::NetworkKind::kOmega,
+                                static_cast<int>(state.range(0))));
+  SimConfig config = bench_config(SwitchingMode::kWormhole);
+  config.obs = collectors(false, true, 0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.run(Pattern::kUniform, config));
+  }
+}
+BENCHMARK(BM_WormholeObsFlows)->Arg(8)->Unit(benchmark::kMillisecond);

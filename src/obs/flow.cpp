@@ -1,7 +1,9 @@
 #include "obs/flow.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace mineq::obs {
 
@@ -34,24 +36,17 @@ void append_stat_row(std::string& out, const char* kind,
 }
 
 /// Same quantile convention as sim::Histogram: the upper edge of the
-/// first bucket whose cumulative count reaches q * total; overflow mass
+/// first bucket whose cumulative count reaches q * count, which is the
+/// bucket of the ceil(q * count)-th smallest sample; overflow mass
 /// reports the sentinel edge just past the covered range.
-double hist_quantile(const std::vector<std::uint32_t>& hist,
-                     std::uint32_t overflow, std::uint64_t total,
-                     std::size_t buckets, double q) {
-  if (total == 0) return 0.0;
-  const double target = q * static_cast<double>(total);
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < hist.size(); ++b) {
-    cumulative += hist[b];
-    if (static_cast<double>(cumulative) >= target) {
-      return static_cast<double>(b + 1);
-    }
-  }
-  if (overflow == 0 && !hist.empty()) {
-    return static_cast<double>(hist.size());
-  }
-  return static_cast<double>(buckets + 1);
+double order_quantile(const std::uint32_t* sorted, std::uint64_t count,
+                      std::uint32_t overflow, std::size_t buckets, double q) {
+  const auto rank = std::clamp<std::uint64_t>(
+      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count))),
+      1, count);
+  const std::uint32_t bucket = sorted[rank - 1];
+  return bucket == overflow ? static_cast<double>(buckets + 1)
+                            : static_cast<double>(bucket + 1);
 }
 
 }  // namespace
@@ -70,87 +65,89 @@ void FlowRecorder::reset(std::uint32_t terminals, std::size_t buckets,
                          std::size_t service_levels) {
   terminals_ = terminals;
   buckets_ = buckets;
-  flows_.assign(static_cast<std::size_t>(terminals) * terminals, Acc{});
-  sls_.assign(service_levels, Acc{});
+  overflow_ = static_cast<std::uint32_t>(std::min<std::size_t>(
+      buckets, std::numeric_limits<std::uint32_t>::max()));
+  flows_ = Table{};
+  flows_.accs.assign(static_cast<std::size_t>(terminals) * terminals, Acc{});
+  sls_ = Table{};
+  sls_.accs.assign(service_levels, Acc{});
+  services_ = Table{};
 }
 
-void FlowRecorder::add(Acc& acc, double latency) {
+void FlowRecorder::add(Table& table, std::size_t key, double latency) {
+  Acc& acc = table.accs[key];
   ++acc.count;
   acc.sum += latency;
-  const auto bucket = static_cast<std::size_t>(latency);
-  if (bucket >= buckets_) {
-    ++acc.overflow;
-    return;
-  }
-  if (acc.hist.empty()) acc.hist.assign(buckets_, 0);
-  ++acc.hist[bucket];
+  const std::uint32_t bucket = latency >= static_cast<double>(overflow_)
+                                   ? overflow_
+                                   : static_cast<std::uint32_t>(latency);
+  table.log.push_back({static_cast<std::uint32_t>(key), bucket});
 }
 
 void FlowRecorder::record(std::uint32_t src, std::uint32_t dst, unsigned sl,
                           double latency) {
-  add(flows_[static_cast<std::size_t>(src) * terminals_ + dst], latency);
-  if (sl < sls_.size()) add(sls_[sl], latency);
+  add(flows_, static_cast<std::size_t>(src) * terminals_ + dst, latency);
+  if (sl < sls_.accs.size()) add(sls_, sl, latency);
 }
 
 void FlowRecorder::record_service(std::uint32_t client, std::uint32_t server,
                                   double latency) {
-  if (services_.empty()) {
-    services_.assign(static_cast<std::size_t>(terminals_) * terminals_,
-                     Acc{});
+  if (services_.accs.empty()) {
+    services_.accs.assign(static_cast<std::size_t>(terminals_) * terminals_,
+                          Acc{});
   }
-  add(services_[static_cast<std::size_t>(client) * terminals_ + server],
+  add(services_, static_cast<std::size_t>(client) * terminals_ + server,
       latency);
 }
 
-FlowStat FlowRecorder::stat_of(const Acc& acc) const {
-  FlowStat stat;
-  stat.count = acc.count;
-  stat.mean = acc.count == 0 ? 0.0 : acc.sum / static_cast<double>(acc.count);
-  stat.p50 = hist_quantile(acc.hist, acc.overflow, acc.count, buckets_, 0.5);
-  stat.p99 = hist_quantile(acc.hist, acc.overflow, acc.count, buckets_, 0.99);
-  stat.p999 =
-      hist_quantile(acc.hist, acc.overflow, acc.count, buckets_, 0.999);
-  return stat;
+std::vector<FlowStat> FlowRecorder::stats_of(const Table& table,
+                                             std::size_t width) const {
+  // Counting sort of the log by key (the per-key counts are known), then
+  // each key's segment by bucket: every quantile is an order statistic.
+  std::vector<std::size_t> end(table.accs.size());
+  std::size_t offset = 0;
+  for (std::size_t key = 0; key < table.accs.size(); ++key) {
+    end[key] = offset;
+    offset += table.accs[key].count;
+  }
+  std::vector<std::uint32_t> sorted(table.log.size());
+  for (const Sample& sample : table.log) {
+    sorted[end[sample.key]++] = sample.bucket;
+  }
+  std::vector<FlowStat> out;
+  for (std::size_t key = 0; key < table.accs.size(); ++key) {
+    const Acc& acc = table.accs[key];
+    if (acc.count == 0) continue;
+    std::uint32_t* const first = sorted.data() + (end[key] - acc.count);
+    std::sort(first, sorted.data() + end[key]);
+    FlowStat stat;
+    stat.src = static_cast<std::uint32_t>(key / width);
+    stat.dst = static_cast<std::uint32_t>(key % width);
+    stat.count = acc.count;
+    stat.mean = acc.sum / static_cast<double>(acc.count);
+    stat.p50 = order_quantile(first, acc.count, overflow_, buckets_, 0.5);
+    stat.p99 = order_quantile(first, acc.count, overflow_, buckets_, 0.99);
+    stat.p999 = order_quantile(first, acc.count, overflow_, buckets_, 0.999);
+    out.push_back(stat);
+  }
+  return out;
 }
 
 FlowSummary FlowRecorder::summary() const {
   FlowSummary out;
   out.terminals = terminals_;
-  for (std::uint32_t src = 0; src < terminals_; ++src) {
-    for (std::uint32_t dst = 0; dst < terminals_; ++dst) {
-      const Acc& acc = flows_[static_cast<std::size_t>(src) * terminals_ + dst];
-      if (acc.count == 0) continue;
-      FlowStat stat = stat_of(acc);
-      stat.src = src;
-      stat.dst = dst;
-      if (stat.p99 > out.worst_p99) {
-        out.worst_p99 = stat.p99;
-        out.worst_src = src;
-        out.worst_dst = dst;
-      }
-      out.flows.push_back(stat);
+  out.flows = stats_of(flows_, terminals_);
+  for (const FlowStat& stat : out.flows) {
+    if (stat.p99 > out.worst_p99) {
+      out.worst_p99 = stat.p99;
+      out.worst_src = stat.src;
+      out.worst_dst = stat.dst;
     }
   }
-  for (std::uint32_t sl = 0; sl < sls_.size(); ++sl) {
-    const Acc& acc = sls_[sl];
-    if (acc.count == 0) continue;
-    FlowStat stat = stat_of(acc);
-    stat.src = sl;
-    out.per_sl.push_back(stat);
-  }
-  if (!services_.empty()) {
-    for (std::uint32_t client = 0; client < terminals_; ++client) {
-      for (std::uint32_t server = 0; server < terminals_; ++server) {
-        const Acc& acc =
-            services_[static_cast<std::size_t>(client) * terminals_ + server];
-        if (acc.count == 0) continue;
-        FlowStat stat = stat_of(acc);
-        stat.src = client;
-        stat.dst = server;
-        out.worst_service_p99 = std::max(out.worst_service_p99, stat.p99);
-        out.services.push_back(stat);
-      }
-    }
+  out.per_sl = stats_of(sls_, 1);  // src = service level, dst = 0
+  out.services = stats_of(services_, terminals_);
+  for (const FlowStat& stat : out.services) {
+    out.worst_service_p99 = std::max(out.worst_service_p99, stat.p99);
   }
   return out;
 }

@@ -2,13 +2,14 @@
 /// \brief Exact per-(source, destination) and per-service-level latency
 /// recording.
 ///
-/// The recorder keeps one integer-count latency histogram per flow
-/// (bucket width 1 cycle, the same resolution and quantile convention as
-/// sim::Histogram), so the summary's p50/p99/p999 columns are exact over
-/// the recorded population, not sketches. Flow adds are replayed by
-/// worker 0 in cell order on sharded runs — the same path the global
-/// latency accumulators use — so the summary is byte-identical at every
-/// thread count.
+/// The recorder logs every measured delivery as (flow, 1-cycle bucket)
+/// and sorts the log once when the summary is rendered, so the summary's
+/// p50/p99/p999 columns are exact over the recorded population (the same
+/// resolution and quantile convention as sim::Histogram), not sketches,
+/// and storage grows with deliveries rather than with terminals^2 x
+/// buckets. Flow adds are replayed by worker 0 in cell order on sharded
+/// runs — the same path the global latency accumulators use — so the
+/// summary is byte-identical at every thread count.
 
 #pragma once
 
@@ -56,16 +57,17 @@ struct FlowSummary {
   [[nodiscard]] std::string csv() const;
 };
 
-/// Accumulates per-flow and per-SL latency histograms. Histogram storage
-/// is allocated lazily per active flow, so a sparse traffic matrix costs
-/// only its live flows.
+/// Accumulates exact per-flow, per-SL and per-service latency
+/// distributions. Each table keeps a count and a delivery-order sum per
+/// key (the mean's bits) plus one append-only log of (key, bucket)
+/// samples: 8 bytes per recorded delivery, whatever the traffic matrix.
 class FlowRecorder {
  public:
   FlowRecorder() = default;
 
   /// Shape for \p terminals logical terminals with \p buckets 1-cycle
-  /// latency buckets per histogram (the SimResult histogram's shape, so
-  /// per-flow quantiles clamp exactly where the aggregate ones do).
+  /// latency buckets (the SimResult histogram's shape, so per-flow
+  /// quantiles clamp exactly where the aggregate ones do).
   void reset(std::uint32_t terminals, std::size_t buckets,
              std::size_t service_levels);
 
@@ -73,7 +75,7 @@ class FlowRecorder {
               double latency);
 
   /// Request->reply end-to-end latency for one completed exchange
-  /// (closed-loop workloads). The service grid allocates on first use,
+  /// (closed-loop workloads). The service table allocates on first use,
   /// so open-loop runs pay nothing for the channel's existence.
   void record_service(std::uint32_t client, std::uint32_t server,
                       double latency);
@@ -84,19 +86,32 @@ class FlowRecorder {
  private:
   struct Acc {
     std::uint64_t count = 0;
-    double sum = 0.0;
-    std::uint32_t overflow = 0;
-    std::vector<std::uint32_t> hist;  ///< lazily sized to buckets_
+    double sum = 0.0;  ///< added in record order, so the mean is exact
+  };
+  /// One recorded delivery: its table key and min(floor(latency),
+  /// overflow_), where the value overflow_ stands for every latency past
+  /// the covered range.
+  struct Sample {
+    std::uint32_t key = 0;
+    std::uint32_t bucket = 0;
+  };
+  struct Table {
+    std::vector<Acc> accs;    ///< [key]
+    std::vector<Sample> log;  ///< record order
   };
 
-  void add(Acc& acc, double latency);
-  [[nodiscard]] FlowStat stat_of(const Acc& acc) const;
+  void add(Table& table, std::size_t key, double latency);
+  /// One FlowStat per key with deliveries, in key order, with
+  /// src = key / width and dst = key % width.
+  [[nodiscard]] std::vector<FlowStat> stats_of(const Table& table,
+                                               std::size_t width) const;
 
   std::uint32_t terminals_ = 0;
   std::size_t buckets_ = 0;
-  std::vector<Acc> flows_;     ///< [src * terminals_ + dst]
-  std::vector<Acc> sls_;       ///< [service level]
-  std::vector<Acc> services_;  ///< [client * terminals_ + server], lazy
+  std::uint32_t overflow_ = 0;  ///< buckets_, saturated to 32 bits
+  Table flows_;     ///< key src * terminals_ + dst
+  Table sls_;       ///< key service level
+  Table services_;  ///< key client * terminals_ + server, lazy
 };
 
 }  // namespace mineq::obs

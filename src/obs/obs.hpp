@@ -14,7 +14,7 @@
 ///   - probes (probe.hpp): per-stage time series + occupancy heatmap,
 ///     sampled every probe_stride measured cycles,
 ///   - per-flow recorders (flow.hpp): exact per-(source, destination) and
-///     per-service-level latency histograms with p50/p99/p999,
+///     per-service-level latency quantiles (p50/p99/p999),
 ///   - packet tracing (trace.hpp): sampled packets emit Chrome
 ///     trace-event JSON loadable in Perfetto / chrome://tracing.
 /// Stall attribution (the StallCause split of hol_blocking_cycles) rides
@@ -51,8 +51,10 @@ inline constexpr std::size_t kStallCauseCount = 5;
 /// Short snake_case token for CSV columns and trace labels.
 [[nodiscard]] const char* stall_cause_name(StallCause cause) noexcept;
 
-/// Per-flow tables are terminals^2; cap the terminal count so enabling
-/// flow stats cannot silently allocate gigabytes on a megafabric.
+/// The flow summary has up to terminals^2 rows, and the recorder keeps a
+/// count and a sum for each possible flow; cap the terminal count so the
+/// summary stays a table one can read (65,536 rows at the cap). Latency
+/// samples cost 8 bytes per recorded delivery, independent of the cap.
 inline constexpr std::uint32_t kMaxFlowTerminals = 256;
 
 /// Which collectors run. The all-defaults config means "observability
@@ -63,7 +65,7 @@ struct ObsConfig {
   /// warmup + probe_stride - 1), so window counters normalize exactly.
   std::uint64_t probe_stride = 0;
   /// Record exact per-(source, destination) and per-SL latency
-  /// histograms (SimResult::flows).
+  /// quantiles (SimResult::flows).
   bool flow_stats = false;
   /// Packet-trace sampling: 0 disables tracing, N traces the
   /// deterministic 1-in-N subset of packets picked by trace_picked().

@@ -41,8 +41,8 @@ class Observer {
   /// \param slots_per_stage total buffer capacity of one stage in the
   /// discipline's occupancy unit (packets for store-and-forward FIFOs,
   /// flits for wormhole lanes) — the occupancy normalizer.
-  /// \param latency_buckets 1-cycle latency buckets per flow histogram
-  /// (pass the SimResult histogram's bucket count).
+  /// \param latency_buckets 1-cycle latency buckets the flow quantiles
+  /// resolve (pass the SimResult histogram's bucket count).
   Observer(const ObsConfig& config, int stages, std::uint32_t cells,
            std::size_t ports, std::uint32_t terminals, std::uint64_t warmup,
            std::uint64_t measure, std::size_t workers,

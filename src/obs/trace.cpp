@@ -1,6 +1,8 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstddef>
 
 namespace mineq::obs {
 
@@ -16,7 +18,26 @@ std::uint64_t track_id(const TraceEvent& event) {
 }
 
 void append_u64(std::string& out, std::uint64_t value) {
-  out += std::to_string(value);
+  char buffer[20];  // 2^64 - 1 has 20 digits
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof buffer, value);
+  out.append(buffer, result.ptr);
+}
+
+/// Upper bound on one serialized event plus its ",\n" separator: the
+/// longest kind (a stall named "downstream_full") with 20-digit ts and
+/// tid, a 10-digit pid and a 3-digit stage is 156 bytes.
+constexpr std::size_t kMaxEventBytes = 160;
+/// Upper bound on the document frame plus one process's metadata event,
+/// without its name.
+constexpr std::size_t kMaxFrameBytes = 128;
+
+/// Capacity that holds one process's share of the document, so the
+/// output is reserved once instead of growing by doubling: the untouched
+/// tail of the reservation is never written and stays out of the RSS.
+std::size_t process_bound(std::string_view name,
+                          const std::vector<TraceEvent>& events) {
+  return kMaxFrameBytes + name.size() + events.size() * kMaxEventBytes;
 }
 
 void append_common(std::string& out, const TraceEvent& event,
@@ -111,7 +132,9 @@ void sort_trace(std::vector<TraceEvent>& events) {
 
 std::string trace_json(const std::vector<TraceEvent>& events,
                        std::uint32_t pid, std::string_view process_name) {
-  std::string out = "{\"traceEvents\":[\n";
+  std::string out;
+  out.reserve(process_bound(process_name, events));
+  out += "{\"traceEvents\":[\n";
   bool first = true;
   append_process(out, process_name, events, pid, first);
   out += "\n],\"displayTimeUnit\":\"ms\"}\n";
@@ -121,7 +144,13 @@ std::string trace_json(const std::vector<TraceEvent>& events,
 std::string trace_json_multi(
     const std::vector<std::pair<std::string, const std::vector<TraceEvent>*>>&
         processes) {
-  std::string out = "{\"traceEvents\":[\n";
+  std::size_t bound = 0;
+  for (const auto& [name, events] : processes) {
+    bound += process_bound(name, *events);
+  }
+  std::string out;
+  out.reserve(bound);
+  out += "{\"traceEvents\":[\n";
   bool first = true;
   for (std::uint32_t pid = 0; pid < processes.size(); ++pid) {
     append_process(out, processes[pid].first, *processes[pid].second, pid,

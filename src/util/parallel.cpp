@@ -144,19 +144,20 @@ void parallel_for(std::size_t begin, std::size_t end,
   // to balance uneven iteration costs.
   const std::size_t chunk = std::max<std::size_t>(1, total / (threads * 8));
   std::atomic<std::size_t> next(begin);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&] {
-      for (;;) {
-        const std::size_t lo = next.fetch_add(chunk);
-        if (lo >= end) return;
-        const std::size_t hi = std::min(end, lo + chunk);
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
+  const auto work = [&] {
+    for (;;) {
+      const std::size_t lo = next.fetch_add(chunk);
+      if (lo >= end) return;
+      const std::size_t hi = std::min(end, lo + chunk);
+      for (std::size_t i = lo; i < hi; ++i) body(i);
+    }
+  };
+  // The calling thread is worker 0, so a call spawns threads - 1.
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads - 1);
+  for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(work);
+  work();
+  for (auto& helper : helpers) helper.join();
 }
 
 }  // namespace mineq::util

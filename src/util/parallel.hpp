@@ -146,6 +146,9 @@ class ThreadPool {
 /// Run body(i) for i in [begin, end) across \p threads workers
 /// (0 = hardware concurrency). Blocks until all iterations complete.
 /// Iterations are distributed in contiguous chunks to limit contention.
+/// The calling thread is one of the workers, so a call starts
+/// threads - 1 threads. The body must not throw: an exception escaping
+/// it terminates the process, on any worker.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t threads = 0);

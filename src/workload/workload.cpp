@@ -1,5 +1,6 @@
 #include "workload/workload.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <stdexcept>
 #include <string>
@@ -217,6 +218,7 @@ ClosedLoopSource::ClosedLoopSource(sim::Pattern pattern, int address_digits,
       window_(config.workload.rr_window),
       outstanding_(terminals, 0),
       replies_(terminals),
+      in_flight_(terminals),
       reply_histogram_(1.0, reply_histogram_buckets) {}
 
 void ClosedLoopSource::tick(std::uint64_t, bool measuring) {
@@ -250,8 +252,7 @@ void ClosedLoopSource::commit(std::uint64_t, std::uint32_t terminal,
   if (injection.tag == kTagReply) {
     const PendingReply reply = replies_[terminal].front();
     replies_[terminal].pop_front();
-    in_flight_[pair_key(terminal, reply.client)].push_back(
-        reply.request_inject);
+    in_flight_[reply.client].push_back({terminal, reply.request_inject});
     return;
   }
   ++outstanding_[terminal];
@@ -274,16 +275,18 @@ void ClosedLoopSource::deliver(const Delivery& delivery) {
   if (delivery.tag != kTagReply) return;
   const std::uint32_t server = delivery.src;
   const std::uint32_t client = delivery.dest;
-  const auto it = in_flight_.find(pair_key(server, client));
-  std::uint64_t request_inject = 0;
-  if (it == in_flight_.end() || it->second.empty()) {
+  std::vector<InFlightReply>& in_flight = in_flight_[client];
+  const auto it = std::find_if(
+      in_flight.begin(), in_flight.end(),
+      [server](const InFlightReply& reply) { return reply.server == server; });
+  if (it == in_flight.end()) {
     // A reply with no matching request in flight (only reachable via
     // faulted misdelivery of an earlier reply of the same pair).
     ++orphans_;
     return;
   }
-  request_inject = it->second.front();
-  it->second.pop_front();
+  const std::uint64_t request_inject = it->request_inject;
+  in_flight.erase(it);
   if (outstanding_[client] > 0) --outstanding_[client];
   if (delivery.terminal != delivery.dest) {
     ++orphans_;

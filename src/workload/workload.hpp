@@ -28,7 +28,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -174,10 +173,12 @@ class ClosedLoopSource final : public WorkloadSource {
     std::uint64_t request_inject = 0;
   };
 
-  static std::uint64_t pair_key(std::uint32_t server,
-                                std::uint32_t client) noexcept {
-    return (static_cast<std::uint64_t>(server) << 32) | client;
-  }
+  /// A reply in flight to a client: which server sent it, and when the
+  /// request that caused it was injected.
+  struct InFlightReply {
+    std::uint32_t server = 0;
+    std::uint64_t request_inject = 0;
+  };
 
   sim::TrafficSource source_;  ///< request destinations (split 0)
   util::SplitMix64 gate_rng_;  ///< request gate (split 1)
@@ -185,11 +186,14 @@ class ClosedLoopSource final : public WorkloadSource {
   unsigned window_;
   std::vector<unsigned> outstanding_;  ///< per client
   std::vector<std::deque<PendingReply>> replies_;  ///< per server
-  /// Request-inject anchors of replies in flight, FIFO per
+  /// Replies in flight per client, in commit order. A delivered reply
+  /// from server S takes the oldest entry whose server is S: FIFO per
   /// (server, client) pair. Wormhole worms between one pair can reorder
-  /// across lanes; the FIFO pairing keeps attribution deterministic
-  /// (it only ever swaps latencies within the same pair).
-  std::unordered_map<std::uint64_t, std::deque<std::uint64_t>> in_flight_;
+  /// across lanes; the FIFO pairing keeps attribution deterministic (it
+  /// only ever swaps latencies within the same pair). Each entry answers
+  /// one of the client's outstanding requests, so a list never holds
+  /// more than rr_window entries.
+  std::vector<std::vector<InFlightReply>> in_flight_;
   std::uint64_t window_stalls_ = 0;
   std::uint64_t orphans_ = 0;
   bool measuring_ = false;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -17,9 +19,11 @@
 #include "min/kary.hpp"
 #include "min/networks.hpp"
 #include "multipath/multipath_wiring.hpp"
+#include "obs/flow.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
+#include "test_seed.hpp"
 
 namespace mineq::sim {
 namespace {
@@ -256,6 +260,191 @@ TEST(ObsFlowTest, PerServiceLevelRowsCoverCreditRuns) {
   std::uint64_t recorded = 0;
   for (const obs::FlowStat& sl : result.flows.per_sl) recorded += sl.count;
   EXPECT_EQ(recorded, result.delivered);
+}
+
+/// The dense-histogram recorder the sample-log FlowRecorder replaced:
+/// one 1-cycle bucket vector per flow, quantiles by cumulative scan. It
+/// stays here as the reference the log's order statistics must match.
+class DenseFlowRecorder {
+ public:
+  void reset(std::uint32_t terminals, std::size_t buckets,
+             std::size_t service_levels) {
+    terminals_ = terminals;
+    buckets_ = buckets;
+    flows_.assign(static_cast<std::size_t>(terminals) * terminals, Acc{});
+    sls_.assign(service_levels, Acc{});
+  }
+  void record(std::uint32_t src, std::uint32_t dst, unsigned sl,
+              double latency) {
+    add(flows_[static_cast<std::size_t>(src) * terminals_ + dst], latency);
+    if (sl < sls_.size()) add(sls_[sl], latency);
+  }
+  void record_service(std::uint32_t client, std::uint32_t server,
+                      double latency) {
+    if (services_.empty()) {
+      services_.assign(static_cast<std::size_t>(terminals_) * terminals_,
+                       Acc{});
+    }
+    add(services_[static_cast<std::size_t>(client) * terminals_ + server],
+        latency);
+  }
+  [[nodiscard]] obs::FlowSummary summary() const {
+    obs::FlowSummary out;
+    out.terminals = terminals_;
+    for (std::uint32_t src = 0; src < terminals_; ++src) {
+      for (std::uint32_t dst = 0; dst < terminals_; ++dst) {
+        const Acc& acc = flows_[std::size_t{src} * terminals_ + dst];
+        if (acc.count == 0) continue;
+        obs::FlowStat stat = stat_of(acc, src, dst);
+        if (stat.p99 > out.worst_p99) {
+          out.worst_p99 = stat.p99;
+          out.worst_src = src;
+          out.worst_dst = dst;
+        }
+        out.flows.push_back(stat);
+      }
+    }
+    for (std::uint32_t sl = 0; sl < sls_.size(); ++sl) {
+      if (sls_[sl].count != 0) out.per_sl.push_back(stat_of(sls_[sl], sl, 0));
+    }
+    for (std::uint32_t client = 0; client < terminals_; ++client) {
+      for (std::uint32_t server = 0; server < terminals_; ++server) {
+        if (services_.empty()) break;
+        const Acc& acc = services_[std::size_t{client} * terminals_ + server];
+        if (acc.count == 0) continue;
+        const obs::FlowStat stat = stat_of(acc, client, server);
+        out.worst_service_p99 = std::max(out.worst_service_p99, stat.p99);
+        out.services.push_back(stat);
+      }
+    }
+    return out;
+  }
+
+ private:
+  struct Acc {
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    std::uint32_t overflow = 0;
+    std::vector<std::uint32_t> hist;
+  };
+  void add(Acc& acc, double latency) const {
+    ++acc.count;
+    acc.sum += latency;
+    const auto bucket = static_cast<std::size_t>(latency);
+    if (bucket >= buckets_) {
+      ++acc.overflow;
+      return;
+    }
+    if (acc.hist.empty()) acc.hist.assign(buckets_, 0);
+    ++acc.hist[bucket];
+  }
+  [[nodiscard]] double quantile(const Acc& acc, double q) const {
+    const double target = q * static_cast<double>(acc.count);
+    std::uint64_t cumulative = 0;
+    for (std::size_t b = 0; b < acc.hist.size(); ++b) {
+      cumulative += acc.hist[b];
+      if (static_cast<double>(cumulative) >= target) {
+        return static_cast<double>(b + 1);
+      }
+    }
+    if (acc.overflow == 0 && !acc.hist.empty()) {
+      return static_cast<double>(acc.hist.size());
+    }
+    return static_cast<double>(buckets_ + 1);
+  }
+  [[nodiscard]] obs::FlowStat stat_of(const Acc& acc, std::uint32_t src,
+                                      std::uint32_t dst) const {
+    obs::FlowStat stat;
+    stat.src = src;
+    stat.dst = dst;
+    stat.count = acc.count;
+    stat.mean = acc.sum / static_cast<double>(acc.count);
+    stat.p50 = quantile(acc, 0.5);
+    stat.p99 = quantile(acc, 0.99);
+    stat.p999 = quantile(acc, 0.999);
+    return stat;
+  }
+
+  std::uint32_t terminals_ = 0;
+  std::size_t buckets_ = 0;
+  std::vector<Acc> flows_;
+  std::vector<Acc> sls_;
+  std::vector<Acc> services_;
+};
+
+void expect_same_stats(const std::vector<obs::FlowStat>& got,
+                       const std::vector<obs::FlowStat>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i].src, want[i].src);
+    EXPECT_EQ(got[i].dst, want[i].dst);
+    EXPECT_EQ(got[i].count, want[i].count);
+    EXPECT_EQ(got[i].mean, want[i].mean);
+    EXPECT_EQ(got[i].p50, want[i].p50);
+    EXPECT_EQ(got[i].p99, want[i].p99);
+    EXPECT_EQ(got[i].p999, want[i].p999);
+  }
+}
+
+/// Random latency streams through both recorders: integer and fractional
+/// latencies, overflow mass (including flows made only of overflow),
+/// single-sample flows, several service levels (and SLs past the table,
+/// which record nothing) and a lazily allocated service table.
+TEST(FlowRecorderTest, MatchesDenseHistogramReference) {
+  MINEQ_SEEDED_RNG(rng, 191);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    const auto terminals = static_cast<std::uint32_t>(1 + rng.below(9));
+    const std::size_t buckets = rng.below(48);
+    const std::size_t service_levels = rng.below(4);
+    const bool services = rng.below(3) != 0;
+    obs::FlowRecorder recorder;
+    DenseFlowRecorder reference;
+    recorder.reset(terminals, buckets, service_levels);
+    reference.reset(terminals, buckets, service_levels);
+    // Flow (0, last) only ever overflows; flow (last, 0) gets one sample.
+    const std::uint32_t last = terminals - 1;
+    const auto latency_of = [&](bool overflow) {
+      const double base = static_cast<double>(
+          overflow ? buckets + rng.below(20) : rng.below(buckets + 1));
+      return rng.below(2) == 0
+                 ? base
+                 : base + static_cast<double>(rng.below(1000)) / 1000.0;
+    };
+    const auto samples = static_cast<int>(rng.below(600));
+    for (int i = 0; i < samples; ++i) {
+      auto src = static_cast<std::uint32_t>(rng.below(terminals));
+      auto dst = static_cast<std::uint32_t>(rng.below(terminals));
+      if (terminals > 1 && src == last && dst == 0) src = 0;
+      const bool overflow = (src == 0 && dst == last) || rng.below(10) == 0;
+      const auto sl = static_cast<unsigned>(rng.below(service_levels + 1));
+      const double latency = latency_of(overflow);
+      recorder.record(src, dst, sl, latency);
+      reference.record(src, dst, sl, latency);
+      if (services && rng.below(2) == 0) {
+        const double service = latency_of(rng.below(8) == 0);
+        recorder.record_service(dst, src, service);
+        reference.record_service(dst, src, service);
+      }
+    }
+    if (terminals > 1) {
+      const double latency = latency_of(false);
+      recorder.record(last, 0, 0, latency);
+      reference.record(last, 0, 0, latency);
+    }
+    const obs::FlowSummary got = recorder.summary();
+    const obs::FlowSummary want = reference.summary();
+    EXPECT_EQ(got.terminals, want.terminals);
+    expect_same_stats(got.flows, want.flows);
+    expect_same_stats(got.per_sl, want.per_sl);
+    expect_same_stats(got.services, want.services);
+    EXPECT_EQ(got.worst_p99, want.worst_p99);
+    EXPECT_EQ(got.worst_src, want.worst_src);
+    EXPECT_EQ(got.worst_dst, want.worst_dst);
+    EXPECT_EQ(got.worst_service_p99, want.worst_service_p99);
+    EXPECT_EQ(got.csv(), want.csv());
+  }
 }
 
 TEST(ObsFlowTest, ValidateRejectsOversizedFlowTables) {

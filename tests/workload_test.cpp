@@ -8,13 +8,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "exp/report.hpp"
 #include "exp/sweep.hpp"
+#include "fault/fault_model.hpp"
 #include "min/networks.hpp"
+#include "obs/flow.hpp"
+#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "workload/spec.hpp"
 
@@ -388,6 +395,80 @@ TEST(WorkloadTest, ClosedLoopFeedsServiceLatencyIntoFlowRecorder) {
   // The summary CSV carries the service rows under the same 8-column
   // header.
   EXPECT_NE(result.flows.csv().find("\nservice,"), std::string::npos);
+}
+
+/// FNV-1a over a rendered table: pins a long CSV without a page of
+/// literal text.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+TEST(WorkloadTest, FaultedClosedLoopServiceTableIsPinned) {
+  // Reply pairing and the flow recorder under the conditions that stress
+  // them: link faults misdeliver requests and replies (the orphan paths),
+  // and two wormhole lanes let replies of one (server, client) pair be in
+  // flight together. A latency range shorter than the tail pushes samples
+  // into the overflow sentinel. The numbers are this run's history.
+  const sim::Engine engine(min::build_network(min::NetworkKind::kOmega, 4));
+  const fault::FaultMask mask = fault::build_fault_mask(
+      engine.wiring(),
+      fault::FaultSpec{fault::FaultKind::kRandomLinks, 0.1, 3});
+  sim::SimConfig config = base_config();
+  config.mode = sim::SwitchingMode::kWormhole;
+  config.lanes = 2;
+  config.packet_length = 2;
+  config.injection_rate = 0.5;
+  config.latency_histogram_buckets = 40;
+  config.workload.kind = Kind::kClosedLoop;
+  config.workload.rr_window = 4;
+  config.workload.record = true;
+  config.obs.flow_stats = true;
+  config.obs.trace_sample = 1;
+  const sim::SimResult result =
+      engine.run(sim::Pattern::kUniform, config, &mask);
+
+  // Two replies of one pair in flight at once: join the recorded reply
+  // injections with the traced packet ends.
+  std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> end_of;
+  for (const obs::TraceEvent& event : result.trace) {
+    if (event.kind == obs::TraceEventKind::kPacketEnd) {
+      end_of[{event.src, event.inject_cycle}] = event.cycle;
+    }
+  }
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> last_end;
+  bool overlapping_pair = false;
+  for (const TraceRecord& record : result.workload_trace) {
+    if (record.tag != kTagReply) continue;
+    const auto end = end_of.find({record.src, record.cycle});
+    if (end == end_of.end()) continue;
+    auto& previous = last_end[{record.src, record.dst}];
+    if (record.cycle < previous) overlapping_pair = true;
+    previous = std::max(previous, end->second);
+  }
+  EXPECT_TRUE(overlapping_pair);
+
+  EXPECT_EQ(result.reply_orphans, 652U);
+  EXPECT_EQ(result.packets_misdelivered, 590U);
+  EXPECT_EQ(result.reply_latency.count(), 1653U);
+  EXPECT_EQ(result.reply_latency.mean(), 21.666666666666647);
+  EXPECT_EQ(result.reply_latency.max(), 70.0);
+  EXPECT_EQ(result.reply_latency_histogram.quantile(0.5), 21.0);
+  EXPECT_EQ(result.reply_latency_histogram.quantile(0.99), 41.0);  // overflow
+  EXPECT_EQ(result.reply_latency_histogram.quantile(0.999), 41.0);
+  EXPECT_EQ(result.flows.flows.size(), 256U);
+  EXPECT_EQ(result.flows.services.size(), 180U);
+  EXPECT_EQ(result.flows.worst_p99, 41.0);
+  EXPECT_EQ(result.flows.worst_src, 10U);
+  EXPECT_EQ(result.flows.worst_dst, 14U);
+  EXPECT_EQ(result.flows.worst_service_p99, 41.0);
+  const std::string csv = result.flows.csv();
+  EXPECT_EQ(csv.size(), 16277U);
+  EXPECT_EQ(fnv1a(csv), 0x4EB066688134D2B2ULL);
 }
 
 TEST(WorkloadTest, SweepCsvCarriesWorkloadColumns) {
