@@ -8,6 +8,11 @@ benchmark slowed down by more than the threshold (default 10%).
 Usage:
   scripts/bench_compare.py OLD.json NEW.json [--threshold 0.10]
   scripts/bench_compare.py OLD_DIR NEW_DIR  [--threshold 0.10]
+                           [--filter REGEX]
+
+--filter keeps only the benchmarks whose name matches REGEX (re.search),
+so one baseline snapshot can own some benchmark families and another
+the rest.
 
 Directory mode pairs files by name (BENCH_*.json); files present on only
 one side are reported and skipped. Intended for trajectory tracking: the
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -63,11 +69,14 @@ def fmt_ns(ns: float) -> str:
     return f"{ns:.3g} ns"
 
 
-def compare_files(old_path: Path, new_path: Path,
-                  threshold: float) -> tuple[int, int]:
+def compare_files(old_path: Path, new_path: Path, threshold: float,
+                  name_filter: re.Pattern[str] | None) -> tuple[int, int]:
     """Print the per-benchmark table; return (compared, regressed)."""
     old = load_benchmarks(old_path)
     new = load_benchmarks(new_path)
+    if name_filter is not None:
+        old = {k: v for k, v in old.items() if name_filter.search(k)}
+        new = {k: v for k, v in new.items() if name_filter.search(k)}
     common = sorted(set(old) & set(new))
     only_old = sorted(set(old) - set(new))
     only_new = sorted(set(new) - set(old))
@@ -116,6 +125,9 @@ def main() -> int:
     parser.add_argument("new", type=Path, help="candidate JSON file or dir")
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="allowed slowdown fraction (default 0.10)")
+    parser.add_argument("--filter", type=re.compile, default=None,
+                        help="compare only benchmarks whose name matches "
+                             "this regex")
     args = parser.parse_args()
 
     pairs = pair_inputs(args.old, args.new)
@@ -123,7 +135,8 @@ def main() -> int:
         sys.exit("bench_compare: nothing to compare")
     total = regressed = 0
     for old_file, new_file in pairs:
-        compared, bad = compare_files(old_file, new_file, args.threshold)
+        compared, bad = compare_files(old_file, new_file, args.threshold,
+                                      args.filter)
         total += compared
         regressed += bad
     print(f"== {total} benchmarks compared, {regressed} regressed more than "

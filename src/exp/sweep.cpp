@@ -92,8 +92,11 @@ void validate_grid(const SweepGrid& grid) {
     }
   }
   for (const std::size_t lanes : grid.lane_counts) {
-    if (lanes == 0) {
-      throw std::invalid_argument("run_sweep: lane count must be positive");
+    if (lanes == 0 || lanes > sim::SimConfig::kMaxLanes) {
+      throw std::invalid_argument(
+          "run_sweep: lane count must be within [1, " +
+          std::to_string(sim::SimConfig::kMaxLanes) + "], got " +
+          std::to_string(lanes));
     }
   }
   for (const fault::FaultSpec& spec : grid.faults) {

@@ -177,6 +177,17 @@ void SimConfig::validate() const {
         "SimConfig: lane_depth must be positive (a lane buffers at least "
         "one flit)");
   }
+  const auto bound = [](const char* field, std::size_t value,
+                        std::size_t max) {
+    if (value > max) {
+      throw std::invalid_argument(std::string("SimConfig: ") + field +
+                                  " must be <= " + std::to_string(max) +
+                                  ", got " + std::to_string(value));
+    }
+  };
+  bound("lanes", lanes, kMaxLanes);
+  bound("lane_depth", lane_depth, kMaxLaneDepth);
+  bound("queue_capacity", queue_capacity, kMaxQueueCapacity);
   if (sim_threads == 0) {
     throw std::invalid_argument(
         "SimConfig: sim_threads must be positive (1 = serial; > 1 shards "
@@ -319,8 +330,11 @@ namespace {
 /// The store-and-forward discipline as a policy over FabricCore: packets
 /// move as units between fixed-capacity per-port FIFOs (PacketRing), a
 /// packet of L flits serializes over each link for L cycles, and a packet
-/// must have fully arrived (arrival_complete) before it may advance. The
-/// bool axes are PolicyBase's (policy.hpp); for this discipline:
+/// must have fully arrived (arrival_complete) before it may advance. A
+/// packet's out-port at each stage is resolved once, when it is pushed
+/// into that stage's FIFO (the route byte, see route()), so arbitration
+/// only reads it. The bool axes are PolicyBase's (policy.hpp); for this
+/// discipline:
 ///
 /// \tparam kFaulted masked arcs accept nothing, packets reroute via the
 /// next surviving port, and dead switches drain their queues into
@@ -344,7 +358,7 @@ namespace {
 /// the unipath out-of-group detour (packets_rerouted).
 ///
 /// With an observer, every HOL-blocked head-cycle is attributed to
-/// exactly one StallCause in the same scan that counts
+/// exactly one StallCause in the same pass that counts
 /// hol_blocking_cycles, so the per-cause counters always sum to it.
 template <bool kFaulted, bool kBinary, bool kCredits, bool kMultiPath>
 class StoreAndForwardPolicy
@@ -361,13 +375,17 @@ class StoreAndForwardPolicy
       Base::credit_config_, Base::credits_, Base::service_levels_,
       Base::credit_links_, Base::lradix_, Base::lcells_, Base::planes_,
       Base::dilation_, Base::path_policy_, Base::looping_, Base::free_stage_,
-      Base::stall_cause_;
-  using Base::radix, Base::arb_candidate, Base::arb_grant,
-      Base::record_delivery, Base::mark_stall, Base::clear_stall_causes,
-      Base::attribute_stall, Base::traced, Base::maybe_commit_probe,
-      Base::trace_inject, Base::trace_stage_cross, Base::trace_reroute,
-      Base::trace_eject, Base::eject_stall_phase, Base::drain_phase,
-      Base::advance_phase, Base::stall_phase;
+      Base::stall_cause_, Base::requests_;
+  using Base::radix, Base::arb_start, Base::arb_grant, Base::eject_start,
+      Base::eject_grant, Base::eject_offset, Base::top_weight,
+      Base::account_cell, Base::record_delivery,
+      Base::mark_stall, Base::clear_stall_causes, Base::attribute_stall,
+      Base::traced, Base::maybe_commit_probe, Base::trace_inject,
+      Base::trace_stage_cross, Base::trace_reroute, Base::trace_eject,
+      Base::eject_stall_phase, Base::drain_phase, Base::advance_phase,
+      Base::stall_phase, Base::stage_routing, Base::scheduled_port,
+      Base::group_size;
+  using StageRouting = typename Base::StageRouting;
 
  public:
   explicit StoreAndForwardPolicy(const PolicyContext& ctx)
@@ -385,7 +403,6 @@ class StoreAndForwardPolicy
             0),
         source_busy_until_(ctx.core.terminals(), 0),
         eject_busy_until_(ctx.core.ports(), 0),
-        queue_moved_(ctx.core.ports(), 0),
         total_packet_slots_(
             static_cast<double>(ctx.core.stages()) *
             static_cast<double>(ctx.core.ports()) *
@@ -413,6 +430,7 @@ class StoreAndForwardPolicy
     // Injection is always a serial phase: log 0 is the sink in both
     // drivers, keeping trace bytes thread-count invariant.
     obs::WorkerLog* const log = kernel_log<false>(obs_, nullptr);
+    const StageRouting first = stage_routing(0);
     for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
       if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
       if (source_busy_until_[t] > cycle) continue;  // still serializing
@@ -435,12 +453,14 @@ class StoreAndForwardPolicy
           core_.draw(cycle, static_cast<std::uint32_t>(t));
       const std::uint32_t dest = packet.dest;
       const auto src = static_cast<std::uint32_t>(t);
+      const unsigned routed = route(first, t, dest, cycle);
       if constexpr (kCredits) {
-        queues_.push(q, dest, src, cycle, cycle + length_,
+        queues_.push(q, dest, src, cycle, cycle + length_, routed,
                      static_cast<unsigned>(t % service_levels_), packet.tag);
         credits_->consume(q);
       } else {
-        queues_.push(q, dest, src, cycle, cycle + length_, 0, packet.tag);
+        queues_.push(q, dest, src, cycle, cycle + length_, routed, 0,
+                     packet.tag);
       }
       core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
       source_busy_until_[t] = cycle + length_;
@@ -481,320 +501,400 @@ class StoreAndForwardPolicy
   }
 
  private:
-  /// Eject at the last stage over cells [\p x0, \p x1): each terminal
-  /// link (cell x, port d % r) carries one packet per packet_length
-  /// cycles, arbitrated between the r input slots. Ejection consumes no
-  /// credits (terminals always sink), but popping returns the slot's
-  /// credit upstream. The serial instantiation (kShard = false) runs the
-  /// full range and mutates the core result directly; the sharded one
-  /// accumulates order-independent counters into \p wk's partial and
-  /// defers the order-sensitive latency adds into its event buffer for
-  /// worker 0 to replay in range order. Every structure touched is owned
-  /// by the range: last-stage queues, eject pacing, arbiters and
-  /// queue_moved_ slots all index by (cell, port).
+  // A queued packet's route byte (PacketRing::front_route): its out-port
+  // at the queue's stage — the ejection port at the last stage — in the
+  // low six bits, resolved once when the packet is pushed: the schedule,
+  // the fault detour and the static path policies cannot change while it
+  // waits. The top two bits keep a fault-degraded choice's reroute kind
+  // for the move to count. Adaptive multipath packets store their path
+  // group's first port instead and pick the member when they compete.
+  static constexpr unsigned kPortBits = 0x3F;
+  static constexpr unsigned kKindShift = 6;
+  static constexpr unsigned kInGroup = 1;  ///< counted in path_reroutes
+  static constexpr unsigned kDetour = 2;   ///< counted in packets_rerouted
+
+  /// Route byte of out-port \p port (-1: dead switch, never competes)
+  /// reached with reroute kind \p kind.
+  [[nodiscard]] static unsigned pack_route(int port, unsigned kind) {
+    return port < 0 ? 0 : static_cast<unsigned>(port) | kind << kKindShift;
+  }
+
+  /// The route byte of a packet for \p dest, injected at \p inject_cycle,
+  /// entering input \p port (cell * r + slot) of stage sr.stage. Unipath:
+  /// the scheduled port while its arc survives, else the next surviving
+  /// port (kDetour). Multipath: select_multipath_port's choice. A dead
+  /// switch has no route; its packets drain before they could compete.
+  [[nodiscard]] unsigned route(const StageRouting& sr, std::size_t port,
+                               std::uint32_t dest,
+                               std::uint64_t inject_cycle) const {
+    const unsigned r = radix();
+    if constexpr (kMultiPath) {
+      if (sr.ejects) return dest % lradix_;
+      const unsigned base = scheduled_port(sr, dest);
+      if (path_policy_ == PathPolicy::kAdaptive) return base;
+      int kind = 0;
+      const int chosen = select_multipath_port(
+          sr, static_cast<std::uint32_t>(port / r),
+          static_cast<unsigned>(port % r), dest, inject_cycle, base, kind);
+      return pack_route(chosen, static_cast<unsigned>(kind));
+    } else {
+      if (sr.ejects) return dest % r;
+      const unsigned desired = scheduled_port(sr, dest);
+      if constexpr (kFaulted) {
+        const int chosen = usable_port(sr.arc_base + (port - port % r),
+                                       desired);
+        return pack_route(chosen, static_cast<unsigned>(chosen) == desired
+                                      ? 0
+                                      : kDetour);
+      }
+      return desired;
+    }
+  }
+
+  /// The route in force for the ready head of queue \p q at input slot
+  /// \p slot of cell \p x, stage sr.stage: the stored route byte, or for
+  /// the adaptive policy the group member whose downstream FIFO is
+  /// emptiest right now.
+  [[nodiscard]] unsigned head_route(const StageRouting& sr, std::uint32_t x,
+                                    unsigned slot, std::size_t q) const {
+    const unsigned routed = queues_.front_route(q);
+    if constexpr (kMultiPath) {
+      if (path_policy_ == PathPolicy::kAdaptive && !sr.ejects) {
+        int kind = 0;
+        const int chosen =
+            select_multipath_port(sr, x, slot, queues_.front_dest(q),
+                                  queues_.front_inject(q), routed, kind);
+        return pack_route(chosen, static_cast<unsigned>(kind));
+      }
+    }
+    return routed;
+  }
+
+  /// Eject at the last stage over logical cells [\p x0, \p x1) (the
+  /// physical cells on a unipath fabric): each terminal link carries one
+  /// packet per packet_length cycles, arbitrated over the cell's input
+  /// buffers — on a multipath fabric over the planes * radix last-stage
+  /// buffers of every plane's copy of the cell (a packet may arrive on
+  /// any arc of its dilation group and in any plane), with one
+  /// round-robin pointer per logical terminal so no plane starves.
+  /// Ejection consumes no credits (terminals always sink), but popping
+  /// returns the slot's credit upstream. The serial instantiation
+  /// (kShard = false) runs the full range and mutates the core result
+  /// directly; the sharded one accumulates order-independent counters
+  /// into \p wk's partial and defers the order-sensitive latency adds
+  /// into its event buffer for worker 0 to replay in range order. Every
+  /// structure touched is owned by the range: last-stage queues, eject
+  /// pacing and arbiters all index by (logical cell, port).
   template <bool kShard>
   void eject_impl(std::uint64_t cycle, bool measuring, std::uint32_t x0,
                   std::uint32_t x1, [[maybe_unused]] ShardWorker* wk) {
     SimResult& res = shard_result<kShard>(core_, wk);
     obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
+    CellRequests& req = cell_requests<kShard>(requests_, wk);
     const int last = core_.stages() - 1;
     const unsigned r = radix();
-    std::fill(queue_moved_.begin() + static_cast<std::size_t>(x0) * r,
-              queue_moved_.begin() + static_cast<std::size_t>(x1) * r, 0);
+    const unsigned lr = kMultiPath ? lradix_ : r;
+    const unsigned candidates = planes_ * r;
     if (log != nullptr) [[unlikely]] {
-      clear_stall_causes(static_cast<std::size_t>(x0) * r,
-                         static_cast<std::size_t>(x1) * r);
+      for (unsigned plane = 0; plane < planes_; ++plane) {
+        const std::size_t run = static_cast<std::size_t>(plane) * lcells_ * r;
+        clear_stall_causes(run + static_cast<std::size_t>(x0) * r,
+                           run + static_cast<std::size_t>(x1) * r);
+      }
     }
     for (std::uint32_t x = x0; x < x1; ++x) {
-      for (unsigned port = 0; port < r; ++port) {
-        if (eject_busy_until_[x * r + port] > cycle) continue;
-        // Strict priority scans the ready candidates first: only a
-        // head of the highest ready weight class may win this cycle.
+      const std::size_t first = static_cast<std::size_t>(x) * r;
+      for (unsigned c = 0; c < candidates; ++c) {
+        const std::size_t q = queue_index(last, first + eject_offset(c));
+        if (queues_.empty(q) || queues_.front_arrival(q) > cycle) continue;
+        req.set_ready(c);
+        req.request(queues_.front_route(q), c);
+      }
+      if (req.idle()) continue;  // nothing ready: nothing moves or blocks
+      unsigned port;
+      while (req.next_port(port)) {
+        const std::size_t term = static_cast<std::size_t>(x) * lr + port;
+        if (eject_busy_until_[term] > cycle) {
+          req.clear_set(port);
+          continue;
+        }
         [[maybe_unused]] unsigned need_weight = 0;
         if constexpr (kCredits) {
           if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
-            for (unsigned slot = 0; slot < r; ++slot) {
-              const std::size_t q = queue_index(last, x * r + slot);
-              if (queues_.empty(q) || queues_.front_arrival(q) > cycle ||
-                  (queues_.front_dest(q) % r) != port) {
-                continue;
-              }
-              need_weight = std::max(need_weight, front_weight(q));
-            }
+            need_weight = top_weight(
+                req.set(port), req.words(), [&](unsigned c) {
+                  return front_weight(
+                      queue_index(last, first + eject_offset(c)));
+                });
           }
         }
-        for (unsigned probe = 0; probe < r; ++probe) {
-          const unsigned slot = arb_candidate(last, x * r + port, probe);
-          const std::size_t q = queue_index(last, x * r + slot);
-          if (queues_.empty(q)) continue;
-          if (queues_.front_arrival(q) > cycle) continue;
-          if ((queues_.front_dest(q) % r) != port) continue;
-          [[maybe_unused]] unsigned vl = 0;
-          if constexpr (kCredits) {
-            vl = credit_config_->vl_of_sl(queues_.front_sl(q));
-            if (credit_config_->arbitration ==
-                    ArbitrationPolicy::kPriority &&
-                credit_config_->weight(vl) != need_weight) {
-              continue;
-            }
+        const unsigned c = scan_round_robin(
+            req.set(port), req.words(), eject_start(term),
+            [&]([[maybe_unused]] unsigned c) {
+              if constexpr (kCredits) {
+                return credit_config_->arbitration !=
+                           ArbitrationPolicy::kPriority ||
+                       front_weight(queue_index(
+                           last, first + eject_offset(c))) == need_weight;
+              }
+              return true;
+            });
+        req.clear_set(port);
+        if (c == kNoCandidate) continue;
+        const std::size_t q = queue_index(last, first + eject_offset(c));
+        const std::uint32_t dest = queues_.front_dest(q);
+        const std::uint64_t inject_cycle = queues_.front_inject(q);
+        const std::uint32_t src = queues_.front_src(q);
+        const unsigned tag = queues_.front_tag(q);
+        [[maybe_unused]] unsigned sl = 0;
+        [[maybe_unused]] unsigned vl = 0;
+        if constexpr (kCredits) {
+          sl = queues_.front_sl(q);
+          vl = credit_config_->vl_of_sl(sl);
+        }
+        shard_pop<kShard>(q, wk);
+        if constexpr (kCredits) credits_->give_back(q, cycle);
+        eject_busy_until_[term] = cycle + length_;
+        eject_grant(term, c, vl);
+        req.moved(c);
+        // The buffer's next packet may eject through a later port.
+        if (!queues_.empty(q) && queues_.front_arrival(q) <= cycle &&
+            queues_.front_route(q) > port) {
+          req.request(queues_.front_route(q), c);
+        }
+        if (core_.wants_deliveries()) {
+          // Every delivery feeds the source, warmup included (see
+          // workload::Delivery); eject_cycle counts the serialization
+          // tail so reply latencies match the packet-latency clock.
+          hand_delivery<kShard>(
+              core_, wk,
+              workload::Delivery{
+                  src, dest, static_cast<std::uint32_t>(term), inject_cycle,
+                  cycle + length_, static_cast<std::uint8_t>(tag),
+                  measuring &&
+                      inject_cycle >= core_.config().warmup_cycles});
+        }
+        if (log != nullptr) [[unlikely]] {
+          if (measuring) log->hops[static_cast<std::size_t>(last)] += length_;
+          trace_eject(*log, cycle, inject_cycle, src, dest, true, true);
+        }
+        if (measuring && inject_cycle >= core_.config().warmup_cycles) {
+          res.flits_delivered += length_;
+          const double latency =
+              static_cast<double>(cycle - inject_cycle + length_);
+          if constexpr (kShard) {
+            wk->saf_events.push_back(SafEjectEvent{latency, sl, src, dest});
+          } else {
+            record_delivery(latency, sl, src, dest);
           }
-          const std::uint32_t dest = queues_.front_dest(q);
-          const std::uint64_t inject_cycle = queues_.front_inject(q);
-          const std::uint32_t src = queues_.front_src(q);
-          const unsigned tag = queues_.front_tag(q);
-          [[maybe_unused]] unsigned sl = 0;
-          if constexpr (kCredits) sl = queues_.front_sl(q);
-          shard_pop<kShard>(q, wk);
-          if constexpr (kCredits) credits_->give_back(q, cycle);
-          eject_busy_until_[x * r + port] = cycle + length_;
-          arb_grant(last, x * r + port, slot, vl);
-          queue_moved_[x * r + slot] = 1;
-          if (core_.wants_deliveries()) {
-            // Every delivery feeds the source, warmup included (see
-            // workload::Delivery); eject_cycle counts the serialization
-            // tail so reply latencies match the packet-latency clock.
-            hand_delivery<kShard>(
-                core_, wk,
-                workload::Delivery{
-                    src, dest, x * r + port, inject_cycle, cycle + length_,
-                    static_cast<std::uint8_t>(tag),
-                    measuring &&
-                        inject_cycle >= core_.config().warmup_cycles});
+          if constexpr (kFaulted) {
+            // A detoured packet ejects at whatever terminal the
+            // surviving route reached; count the miss.
+            if ((dest / lr) != x) ++res.packets_misdelivered;
           }
-          if (log != nullptr) [[unlikely]] {
-            if (measuring) log->hops[static_cast<std::size_t>(last)] += length_;
-            trace_eject(*log, cycle, inject_cycle, src, dest, true, true);
-          }
-          if (measuring && inject_cycle >= core_.config().warmup_cycles) {
-            res.flits_delivered += length_;
-            const double latency =
-                static_cast<double>(cycle - inject_cycle + length_);
-            if constexpr (kShard) {
-              wk->saf_events.push_back(SafEjectEvent{latency, sl, src, dest});
-            } else {
-              record_delivery(latency, sl, src, dest);
-            }
-            if constexpr (kFaulted) {
-              // A detoured packet ejects at whatever terminal the
-              // surviving route reached; count the miss.
-              if ((dest / r) != x) ++res.packets_misdelivered;
-            }
-          }
-          break;
         }
       }
-    }
-    if (measuring) {
-      account_blocking(last, cycle, static_cast<std::size_t>(x0) * r,
-                       static_cast<std::size_t>(x1) * r, res, log,
-                       eject_stall_phase(0));
+      // Planes own consecutive candidate runs and one stall phase each.
+      unsigned plane = 0;
+      unsigned plane_end = r;
+      account_cell(req, measuring, res, log, [&](unsigned c) {
+        while (c >= plane_end) {
+          ++plane;
+          plane_end += r;
+        }
+        const std::size_t i = first + eject_offset(c);
+        attribute_stall(last, cycle, i, queue_index(last, i), res, *log,
+                        eject_stall_phase(plane));
+      });
     }
   }
 
-  /// Advance stage \p s over cells [\p x0, \p x1): round-robin between
-  /// the r input slots per output port, honoring link serialization and
-  /// downstream FIFO capacity. Safe to run on disjoint ranges
-  /// concurrently: a cell pops only its own stage-s queues and pushes
-  /// only through its own down-arcs, and the perfect matching makes each
-  /// stage-(s+1) queue reachable from exactly one upstream cell —
-  /// single-writer without locks. Credit handshakes stay range-local too
-  /// (consume/available index the pushed target, give_back the popped
-  /// queue). The routing-schedule reads (and, faulted, the mask probes)
-  /// are hoisted to per-stage registers: signed/unsigned TBAA cannot
-  /// prove the queue stores below don't alias the Engine's schedule
-  /// fields, so an Engine::route_port call in the probe loop would reload
-  /// them per probe.
+  /// Advance stage \p s over cells [\p x0, \p x1) in one pass per cell:
+  /// each ready head requests its out-port, and each port grants the
+  /// first request in round-robin order that link serialization,
+  /// downstream capacity (or credits) and strict priority let through.
+  /// A FIFO whose head moved may send its next packet through a later
+  /// port in the same cycle. Safe to run on disjoint ranges concurrently:
+  /// a cell pops only its own stage-s queues and pushes only through its
+  /// own down-arcs, and the perfect matching makes each stage-(s+1) queue
+  /// reachable from exactly one upstream cell — single-writer without
+  /// locks. Credit handshakes stay range-local too (consume/available
+  /// index the pushed target, give_back the popped queue).
   template <bool kShard>
   void advance_stage_impl(int s, std::uint64_t cycle, bool measuring,
                           std::uint32_t x0, std::uint32_t x1,
                           [[maybe_unused]] ShardWorker* wk) {
     SimResult& res = shard_result<kShard>(core_, wk);
     obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
+    CellRequests& req = cell_requests<kShard>(requests_, wk);
     const unsigned r = radix();
     const auto down = core_.wiring().down_stage(s);
     const std::size_t link_base =
         static_cast<std::size_t>(s) * core_.ports();
-    // Per-stage routing constants (interior stages only — the last
-    // stage ejects, in eject()).
-    unsigned bit_shift = 0;
-    unsigned bit_invert = 0;
-    std::uint32_t digit_scale = 1;
-    const std::uint32_t* port_of_value = nullptr;
-    if constexpr (kBinary) {
-      const min::DigitSchedule& schedule = core_.engine().digit_schedule();
-      bit_shift = static_cast<unsigned>(
-          schedule.digit[static_cast<std::size_t>(s)]);
-      bit_invert = schedule.port_of_value[static_cast<std::size_t>(s)][0];
-    } else {
-      digit_scale = core_.engine().route_digit_scale(s);
-      port_of_value = core_.engine()
-                          .digit_schedule()
-                          .port_of_value[static_cast<std::size_t>(s)]
-                          .data();
+    const StageRouting here = stage_routing(s);
+    const StageRouting next = stage_routing(s + 1);
+    [[maybe_unused]] bool adaptive = false;
+    if constexpr (kMultiPath) {
+      adaptive = path_policy_ == PathPolicy::kAdaptive;
     }
-    // Faulted: arc bit index = stage base + the record's array offset
-    // (FaultMask::arc_index's layout), computed with the policy's folded
-    // radix so binary instantiations keep shift indexing.
-    [[maybe_unused]] std::size_t arc_base = 0;
-    [[maybe_unused]] const fault::FaultMask* mask = nullptr;
     if constexpr (kFaulted) {
       drain_dead_switches<kShard>(s, cycle, measuring, x0, x1, wk);
-      arc_base = static_cast<std::size_t>(s) * core_.ports();
-      mask = &faulted_.mask();
     }
-    std::fill(queue_moved_.begin() + static_cast<std::size_t>(x0) * r,
-              queue_moved_.begin() + static_cast<std::size_t>(x1) * r, 0);
     if (log != nullptr) [[unlikely]] {
       clear_stall_causes(static_cast<std::size_t>(x0) * r,
                          static_cast<std::size_t>(x1) * r);
     }
     for (std::uint32_t x = x0; x < x1; ++x) {
-      for (unsigned port = 0; port < r; ++port) {
-        if constexpr (kFaulted) {
-          if (mask->faulted_index(arc_base + x * r + port)) {
-            continue;  // dead link
-          }
-        }
-        if (link_busy_until_[link_base + x * r + port] > cycle) {
+      const std::size_t first = static_cast<std::size_t>(x) * r;
+      for (unsigned slot = 0; slot < r; ++slot) {
+        const std::size_t q = queue_index(s, first + slot);
+        if (queues_.empty(q) || queues_.front_arrival(q) > cycle) continue;
+        req.set_ready(slot);
+        req.request(head_route(here, x, slot, q) & kPortBits, slot);
+      }
+      if (req.idle()) continue;  // nothing ready: nothing moves or blocks
+      unsigned port;
+      while (req.next_port(port)) {
+        const std::size_t link = link_base + first + port;
+        if (link_busy_until_[link] > cycle) {
+          req.clear_set(port);
           continue;  // still serializing the previous packet
         }
-        // Strict priority scans the ready candidates first: only a
-        // head of the highest weight class routed here may win.
         [[maybe_unused]] unsigned need_weight = 0;
         if constexpr (kCredits) {
           if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
-            for (unsigned slot = 0; slot < r; ++slot) {
-              const std::size_t q = queue_index(s, x * r + slot);
-              if (queues_.empty(q) || queues_.front_arrival(q) > cycle) {
-                continue;
-              }
-              const std::uint32_t dest = queues_.front_dest(q);
-              unsigned desired;
-              if constexpr (kBinary) {
-                desired = (((dest >> 1) >> bit_shift) & 1U) ^ bit_invert;
-              } else {
-                desired = port_of_value[((dest / r) / digit_scale) % r];
-              }
-              if constexpr (kFaulted) {
-                if (usable_port(mask, arc_base + x * r, desired) !=
-                    static_cast<int>(port)) {
-                  continue;
+            need_weight = top_weight(req.set(port), req.words(),
+                                     [&](unsigned c) {
+                                       return front_weight(
+                                           queue_index(s, first + c));
+                                     });
+          }
+        }
+        // One packed read gives the child cell and its input slot — and
+        // the record value r * child + slot IS the downstream port-slot
+        // index (the identity the packing was chosen for).
+        const std::uint32_t record = down[first + port];
+        const std::size_t target = queue_index(s + 1, record);
+        bool stalled = false;
+        const unsigned c = scan_round_robin(
+            req.set(port), req.words(), arb_start(s, first + port),
+            [&](unsigned c) {
+              if constexpr (kCredits) {
+                if (credit_config_->arbitration ==
+                        ArbitrationPolicy::kPriority &&
+                    front_weight(queue_index(s, first + c)) != need_weight) {
+                  return false;
+                }
+                // Credit handshake in place of the occupancy probe. Every
+                // candidate at this output port sends into the same
+                // downstream FIFO, so zero credits stalls the port
+                // outright (conservation guarantees credits <= free
+                // slots; the push can never overflow).
+                if (!credits_->available(target)) {
+                  if (measuring) ++res.credit_stall_cycles;
+                  if (log != nullptr) [[unlikely]] {
+                    mark_stall(first + c, obs::StallCause::kZeroCredits);
+                    if (measuring) ++log->credit[static_cast<std::size_t>(s)];
+                  }
+                  stalled = true;
                 }
               } else {
-                if (desired != port) continue;
+                if (queues_.full(target)) {
+                  if (log != nullptr) [[unlikely]] {
+                    mark_stall(first + c, obs::StallCause::kDownstreamFull);
+                  }
+                  return false;
+                }
               }
-              need_weight = std::max(need_weight, front_weight(q));
-            }
-          }
+              return true;
+            });
+        [[maybe_unused]] const std::uint64_t requesters = req.set(port)[0];
+        req.clear_set(port);
+        if (c == kNoCandidate || stalled) continue;
+        const std::size_t q = queue_index(s, first + c);
+        const std::uint32_t dest = queues_.front_dest(q);
+        const std::uint64_t inject_cycle = queues_.front_inject(q);
+        const std::uint32_t src = queues_.front_src(q);
+        const unsigned tag = queues_.front_tag(q);
+        [[maybe_unused]] const unsigned kind =
+            head_route(here, x, c, q) >> kKindShift;
+        [[maybe_unused]] unsigned vl = 0;
+        if constexpr (kCredits) {
+          vl = credit_config_->vl_of_sl(queues_.front_sl(q));
+          shard_push<kShard>(target, dest, src, inject_cycle,
+                             cycle + length_,
+                             route(next, record, dest, inject_cycle),
+                             queues_.front_sl(q), tag, wk);
+          credits_->consume(target);
+          shard_pop<kShard>(q, wk);
+          credits_->give_back(q, cycle);
+        } else {
+          shard_push<kShard>(target, dest, src, inject_cycle,
+                             cycle + length_,
+                             route(next, record, dest, inject_cycle), 0, tag,
+                             wk);
+          shard_pop<kShard>(q, wk);
         }
-        for (unsigned probe = 0; probe < r; ++probe) {
-          const unsigned slot = arb_candidate(s, x * r + port, probe);
-          const std::size_t q = queue_index(s, x * r + slot);
-          if (queues_.empty(q)) continue;
-          if (queues_.front_arrival(q) > cycle) continue;
-          const std::uint32_t dest = queues_.front_dest(q);
-          unsigned desired;
-          if constexpr (kBinary) {
-            desired = (((dest >> 1) >> bit_shift) & 1U) ^ bit_invert;
-          } else {
-            desired = port_of_value[((dest / r) / digit_scale) % r];
-          }
-          if constexpr (kFaulted) {
-            // Degraded-mode adaptive routing: follow the schedule while
-            // its arc survives, detour through the next surviving port
-            // otherwise (the FaultedWiring::usable_port scan, with the
-            // folded radix).
-            if (usable_port(mask, arc_base + x * r, desired) !=
-                static_cast<int>(port)) {
-              continue;
-            }
-          } else {
-            if (desired != port) continue;
-          }
-          [[maybe_unused]] unsigned vl = 0;
-          if constexpr (kCredits) {
-            vl = credit_config_->vl_of_sl(queues_.front_sl(q));
-            if (credit_config_->arbitration ==
-                    ArbitrationPolicy::kPriority &&
-                credit_config_->weight(vl) != need_weight) {
-              continue;
-            }
-          }
-          // One packed read gives the child cell and its input slot —
-          // and the record value r * child + slot IS the downstream
-          // port-slot index (the identity the packing was chosen for).
-          const std::uint32_t record = down[x * r + port];
-          const std::size_t target = queue_index(s + 1, record);
-          if constexpr (kCredits) {
-            // Credit handshake in place of the occupancy probe. Every
-            // candidate at this output port sends into the same
-            // downstream FIFO, so zero credits stalls the port outright
-            // (conservation guarantees credits <= free slots; the push
-            // below can never overflow).
-            if (!credits_->available(target)) {
-              if (measuring) ++res.credit_stall_cycles;
-              if (log != nullptr) [[unlikely]] {
-                mark_stall(x * r + slot, obs::StallCause::kZeroCredits);
-                if (measuring) ++log->credit[static_cast<std::size_t>(s)];
-              }
-              break;
-            }
-          } else {
-            if (queues_.full(target)) {
-              if (log != nullptr) [[unlikely]] {
-                mark_stall(x * r + slot, obs::StallCause::kDownstreamFull);
-              }
-              continue;
-            }
-          }
-          const std::uint64_t inject_cycle = queues_.front_inject(q);
-          const std::uint32_t src = queues_.front_src(q);
-          const unsigned tag = queues_.front_tag(q);
-          if constexpr (kCredits) {
-            shard_push<kShard>(target, dest, src, inject_cycle,
-                               cycle + length_, queues_.front_sl(q), tag, wk);
-            credits_->consume(target);
-            shard_pop<kShard>(q, wk);
-            credits_->give_back(q, cycle);
-          } else {
-            shard_push<kShard>(target, dest, src, inject_cycle,
-                               cycle + length_, 0, tag, wk);
-            shard_pop<kShard>(q, wk);
-          }
-          queue_moved_[x * r + slot] = 1;
-          link_busy_until_[link_base + x * r + port] = cycle + length_;
-          arb_grant(s, x * r + port, slot, vl);
-          if (log != nullptr) [[unlikely]] {
-            if (measuring) log->hops[static_cast<std::size_t>(s)] += length_;
-            trace_stage_cross(*log, s, cycle, inject_cycle, src, dest);
-          }
-          if constexpr (kFaulted) {
-            if (port != desired && measuring &&
-                inject_cycle >= core_.config().warmup_cycles) {
-              ++res.packets_rerouted;
-              if (log != nullptr) [[unlikely]] {
-                trace_reroute(*log, s, cycle, inject_cycle, src, dest,
-                              advance_phase(s));
-              }
-            }
-          }
-          break;
-        }
-      }
-    }
-    if (measuring) {
-      if constexpr (kFaulted) {
+        req.moved(c);
+        link_busy_until_[link] = cycle + length_;
+        arb_grant(s, first + port, c, vl);
         if (log != nullptr) [[unlikely]] {
-          refine_masked_arc_stalls(s, cycle, static_cast<std::size_t>(x0) * r,
-                                   static_cast<std::size_t>(x1) * r, mask,
-                                   arc_base, bit_shift, bit_invert,
-                                   digit_scale, port_of_value);
+          if (measuring) log->hops[static_cast<std::size_t>(s)] += length_;
+          trace_stage_cross(*log, s, cycle, inject_cycle, src, dest);
+        }
+        if constexpr (kFaulted) {
+          if (kind != 0 && measuring &&
+              inject_cycle >= core_.config().warmup_cycles) {
+            if (kind == kInGroup) ++res.path_reroutes;
+            if (kind == kDetour) ++res.packets_rerouted;
+            if (log != nullptr) [[unlikely]] {
+              trace_reroute(*log, s, cycle, inject_cycle, src, dest,
+                            advance_phase(s));
+            }
+          }
+        }
+        if constexpr (kMultiPath) {
+          // The push made this port's FIFO fuller: the adaptive heads
+          // that lost it may now prefer a later member of their group.
+          if (adaptive) {
+            const std::uint64_t losers =
+                requesters & ~(std::uint64_t{1} << c);
+            for_each_member(&losers, 1, [&](unsigned slot) {
+              request_later(req, here, x, slot, port);
+            });
+          }
+        }
+        // The FIFO's next packet may leave through a later port.
+        if (!queues_.empty(q) && queues_.front_arrival(q) <= cycle) {
+          request_later(req, here, x, c, port);
         }
       }
-      account_blocking(s, cycle, static_cast<std::size_t>(x0) * r,
-                       static_cast<std::size_t>(x1) * r, res, log,
-                       stall_phase(s));
+      account_cell(req, measuring, res, log, [&](unsigned c) {
+        const std::size_t i = first + c;
+        const std::size_t q = queue_index(s, i);
+        if constexpr (kFaulted) {
+          // A head routed around a masked arc (unipath: its scheduled
+          // arc; multipath: its whole path group) stalls on a fault
+          // symptom, not plain congestion.
+          if (stall_cause_[i] == 0 &&
+              head_route(here, x, c, q) >> kKindShift == kDetour) {
+            mark_stall(i, obs::StallCause::kMaskedArc);
+          }
+        }
+        attribute_stall(s, cycle, i, q, res, *log, stall_phase(s));
+      });
     }
+  }
+
+  /// Re-request input \p slot of cell \p x for its head's port if that
+  /// port is still to be served this cycle (above \p served).
+  void request_later(CellRequests& req, const StageRouting& here,
+                     std::uint32_t x, unsigned slot, unsigned served) const {
+    const unsigned port =
+        head_route(here, x, slot,
+                   queue_index(here.stage, x * radix() + slot)) &
+        kPortBits;
+    if (port > served) req.request(port, slot);
   }
 
   /// The sample kernel: worker \p w of \p n audits its share of the
@@ -877,231 +977,13 @@ class StoreAndForwardPolicy
   template <bool kShard>
   void shard_push(std::size_t q, std::uint32_t dest, std::uint32_t src,
                   std::uint64_t inject_cycle, std::uint64_t arrival,
-                  unsigned sl, unsigned tag, [[maybe_unused]] ShardWorker* wk) {
+                  unsigned routed, unsigned sl, unsigned tag,
+                  [[maybe_unused]] ShardWorker* wk) {
     if constexpr (kShard) {
-      queues_.push_unc(q, dest, src, inject_cycle, arrival, sl, tag);
+      queues_.push_unc(q, dest, src, inject_cycle, arrival, routed, sl, tag);
       ++wk->pool_delta;
     } else {
-      queues_.push(q, dest, src, inject_cycle, arrival, sl, tag);
-    }
-  }
-
-  /// Multipath ejection over logical cells [\p lx0, \p lx1): logical
-  /// terminal lx * lr + j arbitrates over the planes * radix physical
-  /// last-stage buffers of its logical cell (a packet may arrive on any
-  /// arc of its dilation group and in any plane), per-terminal
-  /// round-robin so no plane starves.
-  template <bool kShard>
-  void eject_multipath_impl(std::uint64_t cycle, bool measuring,
-                            std::uint32_t lx0, std::uint32_t lx1,
-                            [[maybe_unused]] ShardWorker* wk) {
-    SimResult& res = shard_result<kShard>(core_, wk);
-    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
-    const int last = core_.stages() - 1;
-    const unsigned r = radix_;
-    const unsigned candidates = planes_ * r;
-    // A logical-cell range touches one contiguous physical run per plane
-    // (cells plane * lcells + [lx0, lx1)); clear and account exactly
-    // those — disjoint across workers, and the full array at full range.
-    for (unsigned plane = 0; plane < planes_; ++plane) {
-      const std::size_t run =
-          (static_cast<std::size_t>(plane) * lcells_) * r;
-      std::fill(queue_moved_.begin() + run + static_cast<std::size_t>(lx0) * r,
-                queue_moved_.begin() + run + static_cast<std::size_t>(lx1) * r,
-                0);
-      if (log != nullptr) [[unlikely]] {
-        clear_stall_causes(run + static_cast<std::size_t>(lx0) * r,
-                           run + static_cast<std::size_t>(lx1) * r);
-      }
-    }
-    for (std::uint32_t lx = lx0; lx < lx1; ++lx) {
-      for (unsigned j = 0; j < lradix_; ++j) {
-        const std::size_t term =
-            static_cast<std::size_t>(lx) * lradix_ + j;
-        if (eject_busy_until_[term] > cycle) continue;
-        RoundRobin& arb = core_.eject_arbiter(term);
-        for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb.candidate(probe);
-          const std::uint32_t cell = (c / r) * lcells_ + lx;
-          const unsigned slot = c % r;
-          const std::size_t port_index =
-              static_cast<std::size_t>(cell) * r + slot;
-          const std::size_t q = queue_index(last, port_index);
-          if (queues_.empty(q)) continue;
-          if (queues_.front_arrival(q) > cycle) continue;
-          const std::uint32_t dest = queues_.front_dest(q);
-          if (dest % lradix_ != j) continue;
-          const std::uint64_t inject_cycle = queues_.front_inject(q);
-          const std::uint32_t src = queues_.front_src(q);
-          const unsigned tag = queues_.front_tag(q);
-          shard_pop<kShard>(q, wk);
-          eject_busy_until_[term] = cycle + length_;
-          arb.grant(c);
-          queue_moved_[port_index] = 1;
-          if (core_.wants_deliveries()) {
-            hand_delivery<kShard>(
-                core_, wk,
-                workload::Delivery{
-                    src, dest, static_cast<std::uint32_t>(term),
-                    inject_cycle, cycle + length_,
-                    static_cast<std::uint8_t>(tag),
-                    measuring &&
-                        inject_cycle >= core_.config().warmup_cycles});
-          }
-          if (log != nullptr) [[unlikely]] {
-            if (measuring) log->hops[static_cast<std::size_t>(last)] += length_;
-            trace_eject(*log, cycle, inject_cycle, src, dest, true, true);
-          }
-          if (measuring && inject_cycle >= core_.config().warmup_cycles) {
-            res.flits_delivered += length_;
-            const double latency =
-                static_cast<double>(cycle - inject_cycle + length_);
-            if constexpr (kShard) {
-              wk->saf_events.push_back(SafEjectEvent{latency, 0, src, dest});
-            } else {
-              record_delivery(latency, 0, src, dest);
-            }
-            if constexpr (kFaulted) {
-              if ((dest / lradix_) != lx) {
-                ++res.packets_misdelivered;
-              }
-            }
-          }
-          break;
-        }
-      }
-    }
-    if (measuring) {
-      for (unsigned plane = 0; plane < planes_; ++plane) {
-        const std::size_t run =
-            (static_cast<std::size_t>(plane) * lcells_) * r;
-        account_blocking(last, cycle, run + static_cast<std::size_t>(lx0) * r,
-                         run + static_cast<std::size_t>(lx1) * r, res, log,
-                         eject_stall_phase(plane));
-      }
-    }
-  }
-
-  /// Multipath advancement: each head packet resolves one physical
-  /// out-port by selecting within the engine's equivalent-path group
-  /// (select_multipath_port); the rest of the hop — arbitration, link
-  /// serialization, downstream capacity — matches the unipath loop.
-  template <bool kShard>
-  void advance_stage_multipath_impl(int s, std::uint64_t cycle,
-                                    bool measuring, std::uint32_t x0,
-                                    std::uint32_t x1,
-                                    [[maybe_unused]] ShardWorker* wk) {
-    SimResult& res = shard_result<kShard>(core_, wk);
-    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
-    const unsigned r = radix_;
-    const auto down = core_.wiring().down_stage(s);
-    const std::size_t link_base =
-        static_cast<std::size_t>(s) * core_.ports();
-    // Per-stage routing constants: the free flag, the forced-group
-    // schedule reads, and the looping settings row (free stages of a
-    // kLooping run only).
-    const bool free = free_stage_[static_cast<std::size_t>(s)] != 0;
-    std::uint32_t digit_scale = 1;
-    const std::uint32_t* port_of_value = nullptr;
-    if (!free) {
-      digit_scale = core_.engine().route_digit_scale(s);
-      port_of_value = core_.engine()
-                          .digit_schedule()
-                          .port_of_value[static_cast<std::size_t>(s)]
-                          .data();
-    }
-    const std::uint8_t* settings =
-        (free && path_policy_ == PathPolicy::kLooping)
-            ? looping_->settings[static_cast<std::size_t>(s)].data()
-            : nullptr;
-    [[maybe_unused]] std::size_t arc_base = 0;
-    [[maybe_unused]] const fault::FaultMask* mask = nullptr;
-    if constexpr (kFaulted) {
-      drain_dead_switches<kShard>(s, cycle, measuring, x0, x1, wk);
-      arc_base = static_cast<std::size_t>(s) * core_.ports();
-      mask = &faulted_.mask();
-    }
-    std::fill(queue_moved_.begin() + static_cast<std::size_t>(x0) * r,
-              queue_moved_.begin() + static_cast<std::size_t>(x1) * r, 0);
-    if (log != nullptr) [[unlikely]] {
-      clear_stall_causes(static_cast<std::size_t>(x0) * r,
-                         static_cast<std::size_t>(x1) * r);
-    }
-    for (std::uint32_t x = x0; x < x1; ++x) {
-      for (unsigned port = 0; port < r; ++port) {
-        if constexpr (kFaulted) {
-          if (mask->faulted_index(arc_base + x * r + port)) {
-            continue;  // dead link
-          }
-        }
-        if (link_busy_until_[link_base + x * r + port] > cycle) {
-          continue;  // still serializing the previous packet
-        }
-        for (unsigned probe = 0; probe < r; ++probe) {
-          const unsigned slot = arb_candidate(s, x * r + port, probe);
-          const std::size_t q = queue_index(s, x * r + slot);
-          if (queues_.empty(q)) continue;
-          if (queues_.front_arrival(q) > cycle) continue;
-          const std::uint32_t dest = queues_.front_dest(q);
-          unsigned base = 0;
-          unsigned count = r;
-          if (!free) {
-            base = port_of_value[((dest / lradix_) / digit_scale) % lradix_] *
-                   dilation_;
-            count = dilation_;
-          }
-          int reroute_kind = 0;
-          const int chosen = select_multipath_port(
-              s, x, slot, dest, queues_.front_inject(q), base, count,
-              settings, down.data(), mask, arc_base, reroute_kind);
-          if (chosen != static_cast<int>(port)) continue;
-          const std::uint32_t record = down[x * r + port];
-          const std::size_t target = queue_index(s + 1, record);
-          if (queues_.full(target)) {
-            if (log != nullptr) [[unlikely]] {
-              mark_stall(x * r + slot, obs::StallCause::kDownstreamFull);
-            }
-            continue;
-          }
-          const std::uint64_t inject_cycle = queues_.front_inject(q);
-          const std::uint32_t src = queues_.front_src(q);
-          shard_push<kShard>(target, dest, src, inject_cycle, cycle + length_,
-                             0, queues_.front_tag(q), wk);
-          shard_pop<kShard>(q, wk);
-          queue_moved_[x * r + slot] = 1;
-          link_busy_until_[link_base + x * r + port] = cycle + length_;
-          arb_grant(s, x * r + port, slot, 0);
-          if (log != nullptr) [[unlikely]] {
-            if (measuring) log->hops[static_cast<std::size_t>(s)] += length_;
-            trace_stage_cross(*log, s, cycle, inject_cycle, src, dest);
-          }
-          if constexpr (kFaulted) {
-            if (measuring && inject_cycle >= core_.config().warmup_cycles) {
-              if (reroute_kind == 1) ++res.path_reroutes;
-              if (reroute_kind == 2) ++res.packets_rerouted;
-              if (reroute_kind != 0 && log != nullptr) {
-                trace_reroute(*log, s, cycle, inject_cycle, src, dest,
-                              advance_phase(s));
-              }
-            }
-          }
-          break;
-        }
-      }
-    }
-    if (measuring) {
-      if constexpr (kFaulted) {
-        if (log != nullptr) [[unlikely]] {
-          refine_masked_group_stalls(s, cycle,
-                                     static_cast<std::size_t>(x0) * r,
-                                     static_cast<std::size_t>(x1) * r, mask,
-                                     arc_base, free, digit_scale,
-                                     port_of_value);
-        }
-      }
-      account_blocking(s, cycle, static_cast<std::size_t>(x0) * r,
-                       static_cast<std::size_t>(x1) * r, res, log,
-                       stall_phase(s));
+      queues_.push(q, dest, src, inject_cycle, arrival, routed, sl, tag);
     }
   }
 
@@ -1112,6 +994,7 @@ class StoreAndForwardPolicy
   void inject_multipath(std::uint64_t cycle, bool measuring) {
     obs::WorkerLog* const log = kernel_log<false>(obs_, nullptr);
     const unsigned r = radix_;
+    const StageRouting first = stage_routing(0);
     for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
       if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
       if (source_busy_until_[t] > cycle) continue;  // still serializing
@@ -1125,35 +1008,34 @@ class StoreAndForwardPolicy
       const workload::Injection packet =
           core_.draw(cycle, static_cast<std::uint32_t>(t));
       const std::uint32_t dest = packet.dest;
-      std::size_t q = 0;
+      std::size_t port = 0;
       bool accepted = false;
       if (planes_ == 1) {
-        q = queue_index(0, static_cast<std::size_t>(lcell) * r + slot);
-        accepted = !queues_.full(q);
+        port = static_cast<std::size_t>(lcell) * r + slot;
+        accepted = !queues_.full(queue_index(0, port));
       } else if (path_policy_ == PathPolicy::kAdaptive) {
         std::uint32_t best = 0;
         for (unsigned plane = 0; plane < planes_; ++plane) {
-          const std::size_t candidate = queue_index(
-              0, (static_cast<std::size_t>(plane) * lcells_ + lcell) * r +
-                     slot);
-          if (queues_.full(candidate)) continue;
-          if (!accepted || queues_.count(candidate) < best) {
-            best = queues_.count(candidate);
-            q = candidate;
+          const std::size_t candidate =
+              (static_cast<std::size_t>(plane) * lcells_ + lcell) * r + slot;
+          const std::size_t q = queue_index(0, candidate);
+          if (queues_.full(q)) continue;
+          if (!accepted || queues_.count(q) < best) {
+            best = queues_.count(q);
+            port = candidate;
             accepted = true;
           }
         }
       } else {
         const unsigned plane = static_cast<unsigned>(
             path_mix(dest, cycle, t) % planes_);
-        q = queue_index(
-            0, (static_cast<std::size_t>(plane) * lcells_ + lcell) * r +
-                   slot);
-        accepted = !queues_.full(q);
+        port = (static_cast<std::size_t>(plane) * lcells_ + lcell) * r + slot;
+        accepted = !queues_.full(queue_index(0, port));
       }
       if (!accepted) continue;  // dropped at source
       const auto src = static_cast<std::uint32_t>(t);
-      queues_.push(q, dest, src, cycle, cycle + length_, 0, packet.tag);
+      queues_.push(queue_index(0, port), dest, src, cycle, cycle + length_,
+                   route(first, port, dest, cycle), 0, packet.tag);
       core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
       source_busy_until_[t] = cycle + length_;
       if (measuring) {
@@ -1165,19 +1047,22 @@ class StoreAndForwardPolicy
   }
 
   /// The path-selection seam: the physical out-port the head packet at
-  /// (cell \p x, input slot \p slot) of stage \p s takes, chosen within
-  /// the equivalent-path group [\p base, \p base + \p count) by the
+  /// (cell \p x, input slot \p slot) of stage sr.stage takes, chosen
+  /// within the equivalent-path group [\p base, \p base + count) — count
+  /// is the dilation at a forced stage, the radix at a free one — by the
   /// configured policy. Faulted: a masked choice re-selects among the
   /// surviving group members (\p reroute_kind = 1); a fully-masked group
   /// falls back to the unipath out-of-group detour (\p reroute_kind =
   /// 2); -1 means the switch is dead (no surviving out-arc at all).
-  [[nodiscard]] int select_multipath_port(
-      int s, std::uint32_t x, unsigned slot, std::uint32_t dest,
-      std::uint64_t inject_cycle, unsigned base, unsigned count,
-      const std::uint8_t* settings, const std::uint32_t* down,
-      [[maybe_unused]] const fault::FaultMask* mask,
-      [[maybe_unused]] std::size_t arc_base, int& reroute_kind) {
+  [[nodiscard]] int select_multipath_port(const StageRouting& sr,
+                                          std::uint32_t x, unsigned slot,
+                                          std::uint32_t dest,
+                                          std::uint64_t inject_cycle,
+                                          unsigned base,
+                                          int& reroute_kind) const {
     const unsigned r = radix_;
+    const unsigned count = group_size(sr);
+    [[maybe_unused]] const std::size_t row = sr.arc_base + x * r;
     reroute_kind = 0;
     if (path_policy_ == PathPolicy::kAdaptive) {
       // Least-occupancy: the group member with the emptiest downstream
@@ -1188,10 +1073,10 @@ class StoreAndForwardPolicy
       for (unsigned k = 0; k < count; ++k) {
         const unsigned p = base + k;
         if constexpr (kFaulted) {
-          if (mask->faulted_index(arc_base + x * r + p)) continue;
+          if (faulted_.mask().faulted_index(row + p)) continue;
         }
         const std::uint32_t occupancy =
-            queues_.count(queue_index(s + 1, down[x * r + p]));
+            queues_.count(queue_index(sr.stage + 1, sr.down[x * r + p]));
         if (chosen < 0 || occupancy < best) {
           best = occupancy;
           chosen = static_cast<int>(p);
@@ -1200,19 +1085,19 @@ class StoreAndForwardPolicy
       if (chosen >= 0) return chosen;
     } else {
       unsigned desired;
-      if (settings != nullptr) {
-        desired = settings[static_cast<std::size_t>(x) * lradix_ + slot];
+      if (sr.settings != nullptr) {
+        desired = sr.settings[static_cast<std::size_t>(x) * lradix_ + slot];
       } else if (count == 1) {
         desired = base;
       } else {
         desired = base + static_cast<unsigned>(
                              path_mix(dest, inject_cycle,
-                                      static_cast<std::uint64_t>(s)) %
+                                      static_cast<std::uint64_t>(sr.stage)) %
                              count);
       }
       if constexpr (kFaulted) {
-        if (mask->faulted_index(arc_base + x * r + desired)) {
-          const int member = surviving_group_member(*mask, arc_base + x * r,
+        if (faulted_.mask().faulted_index(row + desired)) {
+          const int member = surviving_group_member(faulted_.mask(), row,
                                                     base, count, desired);
           if (member >= 0) {
             reroute_kind = 1;
@@ -1228,7 +1113,7 @@ class StoreAndForwardPolicy
     // Whole group masked: out-of-group detour through any surviving
     // port, exactly the unipath degraded mode.
     if constexpr (kFaulted) {
-      const int port = usable_port(mask, arc_base + x * r, base);
+      const int port = usable_port(row, base);
       if (port >= 0) reroute_kind = 2;
       return port;
     }
@@ -1250,10 +1135,9 @@ class StoreAndForwardPolicy
   /// \p arc_row is the mask bit index of the switch's port-0 out-arc
   /// (FaultMask::arc_index layout). Returns the scheduled port while its
   /// arc survives, else the next surviving port, else -1.
-  [[nodiscard]] int usable_port(const fault::FaultMask* mask,
-                                std::size_t arc_row,
-                                unsigned desired) const {
-    if (!mask->faulted_index(arc_row + desired)) {
+  [[nodiscard]] int usable_port(std::size_t arc_row, unsigned desired) const {
+    const fault::FaultMask& mask = faulted_.mask();
+    if (!mask.faulted_index(arc_row + desired)) {
       return static_cast<int>(desired);
     }
     const unsigned r = radix();
@@ -1261,7 +1145,7 @@ class StoreAndForwardPolicy
     for (unsigned step = 1; step < r; ++step) {
       ++port;
       if (port >= r) port -= r;
-      if (!mask->faulted_index(arc_row + port)) {
+      if (!mask.faulted_index(arc_row + port)) {
         return static_cast<int>(port);
       }
     }
@@ -1313,100 +1197,10 @@ class StoreAndForwardPolicy
     }
   }
 
-  /// Head-of-line blocking: a fully-arrived head in [p0, p1) that did
-  /// not move. The port range always matches the caller's writer
-  /// partition of queue_moved_, so sharded totals equal the serial scan.
-  /// With an observer (\p log non-null) the same scan charges each
-  /// blocked head to its recorded StallCause. The loop is unswitched by
-  /// hand: a call inside the plain scan would force its loop invariants
-  /// out of registers.
-  void account_blocking(int s, std::uint64_t cycle, std::size_t p0,
-                        std::size_t p1, SimResult& res, obs::WorkerLog* log,
-                        std::uint8_t phase) {
-    const auto blocked = [&](std::size_t i) {
-      const std::size_t q = queue_index(s, i);
-      return !queues_.empty(q) && queues_.front_arrival(q) <= cycle &&
-             queue_moved_[i] == 0;
-    };
-    if (log == nullptr) [[likely]] {
-      for (std::size_t i = p0; i < p1; ++i) {
-        if (blocked(i)) ++res.hol_blocking_cycles;
-      }
-      return;
-    }
-    for (std::size_t i = p0; i < p1; ++i) {
-      if (blocked(i)) {
-        ++res.hol_blocking_cycles;
-        attribute_stall(s, cycle, i, queue_index(s, i), res, *log, phase);
-      }
-    }
-  }
-
-  /// Observability && kFaulted: re-attribute still-unexplained blocked
-  /// heads whose scheduled arc is fault-masked — they stall waiting on
-  /// detour capacity, which is a fault symptom, not plain congestion.
-  /// Runs just before account_blocking with the stage's hoisted routing
-  /// registers.
-  void refine_masked_arc_stalls(int s, std::uint64_t cycle, std::size_t p0,
-                                std::size_t p1, const fault::FaultMask* mask,
-                                std::size_t arc_base, unsigned bit_shift,
-                                unsigned bit_invert, std::uint32_t digit_scale,
-                                const std::uint32_t* port_of_value) {
-    const unsigned r = radix();
-    for (std::size_t i = p0; i < p1; ++i) {
-      if (queue_moved_[i] != 0 || stall_cause_[i] != 0) continue;
-      const std::size_t q = queue_index(s, i);
-      if (queues_.empty(q) || queues_.front_arrival(q) > cycle) continue;
-      const std::uint32_t dest = queues_.front_dest(q);
-      unsigned desired;
-      if constexpr (kBinary) {
-        desired = (((dest >> 1) >> bit_shift) & 1U) ^ bit_invert;
-      } else {
-        desired = port_of_value[((dest / r) / digit_scale) % r];
-      }
-      if (mask->faulted_index(arc_base + (i / r) * r + desired)) {
-        mark_stall(i, obs::StallCause::kMaskedArc);
-      }
-    }
-  }
-
-  /// The multipath counterpart: masked-arc only when the head's entire
-  /// equivalent-path group is masked (a surviving member would have been
-  /// a normal candidate — that is congestion, not a fault stall).
-  void refine_masked_group_stalls(int s, std::uint64_t cycle, std::size_t p0,
-                                  std::size_t p1, const fault::FaultMask* mask,
-                                  std::size_t arc_base, bool free,
-                                  std::uint32_t digit_scale,
-                                  const std::uint32_t* port_of_value) {
-    const unsigned r = radix_;
-    for (std::size_t i = p0; i < p1; ++i) {
-      if (queue_moved_[i] != 0 || stall_cause_[i] != 0) continue;
-      const std::size_t q = queue_index(s, i);
-      if (queues_.empty(q) || queues_.front_arrival(q) > cycle) continue;
-      unsigned base = 0;
-      unsigned count = r;
-      if (!free) {
-        const std::uint32_t dest = queues_.front_dest(q);
-        base = port_of_value[((dest / lradix_) / digit_scale) % lradix_] *
-               dilation_;
-        count = dilation_;
-      }
-      bool all_masked = true;
-      for (unsigned k = 0; k < count; ++k) {
-        if (!mask->faulted_index(arc_base + (i / r) * r + base + k)) {
-          all_masked = false;
-          break;
-        }
-      }
-      if (all_masked) mark_stall(i, obs::StallCause::kMaskedArc);
-    }
-  }
-
   PacketRing& queues_;
   std::vector<std::uint64_t> link_busy_until_;
   std::vector<std::uint64_t> source_busy_until_;
   std::vector<std::uint64_t> eject_busy_until_;
-  std::vector<std::uint8_t> queue_moved_;
   double total_packet_slots_;
   std::vector<std::vector<std::uint32_t>> dead_cells_;  // kFaulted only
 };

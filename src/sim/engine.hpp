@@ -214,11 +214,20 @@ struct SimConfig {
   /// real core count — NOT tied to hardware_concurrency, so deterministic
   /// thread-count pins run anywhere).
   static constexpr std::size_t kMaxSimThreads = 256;
+  /// Upper bounds on the buffer geometry. A cell arbitrates at most
+  /// radix * lanes <= 64 * 64 candidate lanes, and the pools allocate
+  /// stages * ports * lanes * depth slots up front, so a typo here must
+  /// fail by name instead of in the allocator.
+  static constexpr std::size_t kMaxLanes = 64;
+  static constexpr std::size_t kMaxLaneDepth = 1024;
+  static constexpr std::size_t kMaxQueueCapacity = 1024;
 
   /// Reject unusable parameters up front, with a message naming the
   /// offending field and value: lanes, lane_depth, packet_length and
-  /// queue_capacity must be positive (regardless of mode, so a config is
-  /// valid or not independently of the discipline that runs it),
+  /// queue_capacity must be positive and lanes, lane_depth and
+  /// queue_capacity at most kMaxLanes, kMaxLaneDepth and
+  /// kMaxQueueCapacity (regardless of mode, so a config is valid or not
+  /// independently of the discipline that runs it),
   /// injection_rate must be finite and within [0, 1], the burst
   /// probabilities must be within (0, 1], sim_threads must be within
   /// [1, kMaxSimThreads], an enabled credit config must pass

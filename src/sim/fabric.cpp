@@ -84,7 +84,8 @@ PacketRing::PacketRing(std::size_t queues, std::size_t capacity)
       inject_(queues * capacity, 0),
       arrival_(queues * capacity, 0),
       sl_(queues * capacity, 0),
-      tag_(queues * capacity, 0) {
+      tag_(queues * capacity, 0),
+      route_(queues * capacity, 0) {
   if (capacity == 0) {
     throw std::invalid_argument("PacketRing: capacity must be positive");
   }
@@ -103,13 +104,14 @@ void PacketRing::reset(std::size_t queues, std::size_t capacity) {
   arrival_.assign(queues * capacity, 0);
   sl_.assign(queues * capacity, 0);
   tag_.assign(queues * capacity, 0);
+  route_.assign(queues * capacity, 0);
   total_ = 0;
 }
 
 void PacketRing::push_unc(std::size_t q, std::uint32_t dest, std::uint32_t src,
                           std::uint64_t inject_cycle,
-                          std::uint64_t arrival_complete, unsigned sl,
-                          unsigned tag) {
+                          std::uint64_t arrival_complete, unsigned route,
+                          unsigned sl, unsigned tag) {
   if (full(q)) {
     throw std::logic_error("PacketRing: push into a full queue");
   }
@@ -120,14 +122,15 @@ void PacketRing::push_unc(std::size_t q, std::uint32_t dest, std::uint32_t src,
   arrival_[at] = arrival_complete;
   sl_[at] = static_cast<std::uint8_t>(sl);
   tag_[at] = static_cast<std::uint8_t>(tag);
+  route_[at] = static_cast<std::uint8_t>(route);
   ++count_[q];
 }
 
 void PacketRing::push(std::size_t q, std::uint32_t dest, std::uint32_t src,
                       std::uint64_t inject_cycle,
-                      std::uint64_t arrival_complete, unsigned sl,
-                      unsigned tag) {
-  push_unc(q, dest, src, inject_cycle, arrival_complete, sl, tag);
+                      std::uint64_t arrival_complete, unsigned route,
+                      unsigned sl, unsigned tag) {
+  push_unc(q, dest, src, inject_cycle, arrival_complete, route, sl, tag);
   ++total_;
 }
 
@@ -151,7 +154,6 @@ LanePool::LanePool(std::size_t lane_count, std::size_t depth)
       count_(lane_count, 0),
       busy_(lane_count, 0),
       tail_in_(lane_count, 0),
-      moved_(lane_count, 0),
       out_port_(lane_count, 0),
       downstream_(lane_count, -1) {
   if (depth == 0) {
@@ -169,7 +171,6 @@ void LanePool::reset(std::size_t lane_count, std::size_t depth) {
   count_.assign(lane_count, 0);
   busy_.assign(lane_count, 0);
   tail_in_.assign(lane_count, 0);
-  moved_.assign(lane_count, 0);
   out_port_.assign(lane_count, 0);
   downstream_.assign(lane_count, -1);
   occupied_ = 0;
@@ -226,7 +227,6 @@ Flit LanePool::pop_unc(std::size_t l) {
   const Flit flit = slots_[l * depth_ + head_[l]];
   head_[l] = static_cast<std::uint32_t>(wrap(head_[l] + std::size_t{1}));
   --count_[l];
-  moved_[l] = 1;
   if (flit.is_tail()) {
     // The worm has fully left: release the lane and its allocation.
     busy_[l] = 0;

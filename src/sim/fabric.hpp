@@ -19,6 +19,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -32,10 +34,12 @@
 
 namespace mineq::sim {
 
-/// Rotating-priority pointer over a fixed candidate ring. Callers probe
-/// candidate(0), candidate(1), ... in order and grant() the winner, which
-/// moves it to lowest priority for the next round. The shared fairness
-/// primitive of both switching disciplines.
+/// Rotating-priority pointer over a fixed candidate ring. Arbitration
+/// offers the candidates in the order candidate(0), candidate(1), ...
+/// (scan_round_robin walks a candidate set in exactly that order from
+/// next()) and grant()s the winner, which moves it to lowest priority for
+/// the next round. The shared fairness primitive of both switching
+/// disciplines.
 class RoundRobin {
  public:
   /// \throws std::invalid_argument on an empty candidate ring — a
@@ -48,10 +52,14 @@ class RoundRobin {
     }
   }
 
-  /// The candidate to try at probe position \p probe (0-based).
+  /// The candidate at probe position \p probe (0-based, below size()).
   [[nodiscard]] unsigned candidate(unsigned probe) const noexcept {
-    return (next_ + probe) % size_;
+    const unsigned c = next_ + probe;
+    return c >= size_ ? c - size_ : c;
   }
+
+  /// The highest-priority candidate (probe position 0).
+  [[nodiscard]] unsigned next() const noexcept { return next_; }
 
   /// Record that \p winner was served; it now has lowest priority.
   /// \throws std::logic_error on a winner outside the candidate ring
@@ -60,7 +68,7 @@ class RoundRobin {
     if (winner >= size_) {
       throw std::logic_error("RoundRobin::grant: winner out of range");
     }
-    next_ = (winner + 1) % size_;
+    next_ = winner + 1 == size_ ? 0 : winner + 1;
   }
 
   [[nodiscard]] unsigned size() const noexcept { return size_; }
@@ -82,9 +90,17 @@ class WeightedRoundRobin {
   /// reset all quanta.
   void reset(std::size_t arbiters, unsigned size);
 
+  /// Arbiter \p a's candidate at probe position \p probe (below the
+  /// ring size).
   [[nodiscard]] unsigned candidate(std::size_t a,
                                    unsigned probe) const noexcept {
-    return (next_[a] + probe) % size_;
+    const unsigned c = next_[a] + probe;
+    return c >= size_ ? c - size_ : c;
+  }
+
+  /// Arbiter \p a's highest-priority candidate.
+  [[nodiscard]] unsigned next(std::size_t a) const noexcept {
+    return next_[a];
   }
 
   /// Record that \p winner was served with quantum \p weight (>= 1).
@@ -94,6 +110,128 @@ class WeightedRoundRobin {
   unsigned size_ = 1;
   std::vector<unsigned> next_;
   std::vector<unsigned> served_;  ///< consecutive grants to next_[a]
+};
+
+/// scan_round_robin's result when no candidate stopped the scan.
+inline constexpr unsigned kNoCandidate = ~0U;
+
+/// Visit the members of a candidate set in round-robin order from
+/// \p start: start, start + 1, ..., the last member, then wrapping to 0
+/// — the order RoundRobin::candidate(0), candidate(1), ... probes, with
+/// the non-members skipped (rotate the set by masking, then ctz). \p set
+/// holds \p words 64-bit words, candidate c at bit c % 64 of word c / 64,
+/// and \p start lies below the ring size. \p visit(c) returns true to
+/// stop the scan (a grant, or a refusal that blocks the whole port) and
+/// false to fall through to the next member. Returns the candidate that
+/// stopped the scan, or kNoCandidate. Words are read as the scan reaches
+/// them, so \p visit may add members to other sets, never to this one.
+template <class Visit>
+unsigned scan_round_robin(const std::uint64_t* set, std::size_t words,
+                          unsigned start, Visit&& visit) {
+  const std::size_t first = start >> 6;
+  const std::uint64_t below = (std::uint64_t{1} << (start & 63U)) - 1;
+  const auto walk = [&](std::size_t w, std::uint64_t bits) {
+    for (; bits != 0; bits &= bits - 1) {
+      const auto c = static_cast<unsigned>(
+          w * 64 + static_cast<unsigned>(std::countr_zero(bits)));
+      if (visit(c)) return c;
+    }
+    return kNoCandidate;
+  };
+  for (std::size_t w = first; w < words; ++w) {
+    const unsigned c = walk(w, w == first ? set[w] & ~below : set[w]);
+    if (c != kNoCandidate) return c;
+  }
+  for (std::size_t w = 0; w <= first; ++w) {
+    const unsigned c = walk(w, w == first ? set[w] & below : set[w]);
+    if (c != kNoCandidate) return c;
+  }
+  return kNoCandidate;
+}
+
+/// Call \p f(c) for every member of a \p words-word candidate set, in
+/// ascending order.
+template <class F>
+void for_each_member(const std::uint64_t* set, std::size_t words, F&& f) {
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = set[w]; bits != 0; bits &= bits - 1) {
+      f(static_cast<unsigned>(
+          w * 64 + static_cast<unsigned>(std::countr_zero(bits))));
+    }
+  }
+}
+
+/// One switch cell's arbitration state, built in a single pass over its
+/// input buffers: the ready set (buffers whose head could move this
+/// cycle) and, per output port, the request set of the ready heads that
+/// route there, both over the cell's candidate numbering. The cycle
+/// kernels grant each port's winner with scan_round_robin, clear a
+/// candidate from the ready set when it moves, and count what remains
+/// as head-of-line blocking — every input buffer is read once per
+/// cycle. Ports number at most 64 (the radix bound). One per worker;
+/// every set is empty again between cells.
+class CellRequests {
+ public:
+  /// Size for \p ports output ports over up to \p candidates candidates.
+  void shape(unsigned ports, unsigned candidates) {
+    words_ = (static_cast<std::size_t>(candidates) + 63) / 64;
+    ready_.assign(words_, 0);
+    sets_.assign(static_cast<std::size_t>(ports) * words_, 0);
+    ports_ = 0;
+  }
+  [[nodiscard]] bool shaped() const noexcept { return words_ != 0; }
+  [[nodiscard]] std::size_t words() const noexcept { return words_; }
+
+  void set_ready(unsigned c) noexcept { ready_[c >> 6] |= bit(c); }
+  /// Candidate \p c moved (at least once) this cycle: not blocked.
+  void moved(unsigned c) noexcept { ready_[c >> 6] &= ~bit(c); }
+  /// Candidate \p c asks for output port \p port.
+  void request(unsigned port, unsigned c) noexcept {
+    sets_[port * words_ + (c >> 6)] |= bit(c);
+    ports_ |= std::uint64_t{1} << port;
+  }
+  /// No port holds a request.
+  [[nodiscard]] bool idle() const noexcept { return ports_ == 0; }
+
+  /// Take the lowest port still holding requests (requests added while
+  /// serving a port must go to higher ports); false when none is left.
+  [[nodiscard]] bool next_port(unsigned& port) noexcept {
+    if (ports_ == 0) return false;
+    port = static_cast<unsigned>(std::countr_zero(ports_));
+    ports_ &= ports_ - 1;
+    return true;
+  }
+  [[nodiscard]] const std::uint64_t* set(unsigned port) const noexcept {
+    return &sets_[port * words_];
+  }
+  void clear_set(unsigned port) noexcept {
+    std::fill_n(&sets_[port * words_], words_, 0);
+  }
+
+  /// Ready candidates that did not move, i.e. head-of-line blocked.
+  [[nodiscard]] std::uint64_t blocked() const noexcept {
+    std::uint64_t n = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      n += static_cast<std::uint64_t>(std::popcount(ready_[w]));
+    }
+    return n;
+  }
+  /// Call \p f(c) for every blocked candidate in ascending order.
+  template <class F>
+  void for_each_blocked(F&& f) const {
+    for_each_member(ready_.data(), words_, f);
+  }
+  void clear_ready() noexcept { std::fill(ready_.begin(), ready_.end(), 0); }
+
+ private:
+  [[nodiscard]] static std::uint64_t bit(unsigned c) noexcept {
+    return std::uint64_t{1} << (c & 63U);
+  }
+
+  std::size_t words_ = 0;
+  std::uint64_t ports_ = 0;
+  std::vector<std::uint64_t> ready_;
+  std::vector<std::uint64_t> sets_;
 };
 
 /// Per-link credit counters with a configurable return latency — the
@@ -177,13 +315,15 @@ class PacketRing {
     return count_[q];
   }
 
-  /// Append a packet; the queue must not be full. \p sl is the packet's
-  /// service level (0 outside credit-mode runs), \p src its source
+  /// Append a packet; the queue must not be full. \p route is the
+  /// packet's routing decision at this queue's stage, resolved once on
+  /// the way in (the policy's encoding: out-port plus reroute flags), \p sl
+  /// its service level (0 outside credit-mode runs), \p src its source
   /// terminal (carried for flow attribution and packet tracing), \p tag
   /// its workload tag (request/reply; 0 outside closed-loop runs).
   void push(std::size_t q, std::uint32_t dest, std::uint32_t src,
             std::uint64_t inject_cycle, std::uint64_t arrival_complete,
-            unsigned sl = 0, unsigned tag = 0);
+            unsigned route, unsigned sl = 0, unsigned tag = 0);
 
   /// Head-of-line packet fields; the queue must not be empty.
   [[nodiscard]] std::uint32_t front_dest(std::size_t q) const {
@@ -204,6 +344,9 @@ class PacketRing {
   [[nodiscard]] unsigned front_tag(std::size_t q) const {
     return tag_[front_slot(q)];
   }
+  [[nodiscard]] unsigned front_route(std::size_t q) const {
+    return route_[front_slot(q)];
+  }
 
   /// Drop the head-of-line packet; the queue must not be empty.
   void pop(std::size_t q);
@@ -215,7 +358,7 @@ class PacketRing {
   /// the driver reconciles. Queue state is identical to push()/pop().
   void push_unc(std::size_t q, std::uint32_t dest, std::uint32_t src,
                 std::uint64_t inject_cycle, std::uint64_t arrival_complete,
-                unsigned sl = 0, unsigned tag = 0);
+                unsigned route, unsigned sl = 0, unsigned tag = 0);
   void pop_unc(std::size_t q);
 
   /// Packets currently buffered across every queue (O(1)).
@@ -241,14 +384,15 @@ class PacketRing {
   std::vector<std::uint64_t> arrival_;
   std::vector<std::uint8_t> sl_;
   std::vector<std::uint8_t> tag_;
+  std::vector<std::uint8_t> route_;
   std::size_t total_ = 0;
 };
 
 /// Every wormhole virtual channel of the fabric as one struct-of-arrays
 /// pool: lane l owns flit slots [l * depth, (l+1) * depth) of a
 /// contiguous ring arena, with the per-lane worm bookkeeping (busy,
-/// tail-seen, out-port, reserved downstream lane, moved-this-cycle) in
-/// parallel field arrays. A lane holds flits of at most one packet (one
+/// tail-seen, out-port, reserved downstream lane) in parallel field
+/// arrays. A lane holds flits of at most one packet (one
 /// worm) at a time: a head claims an idle lane, body/tail flits follow
 /// through it, and popping the tail returns the lane to idle.
 class LanePool {
@@ -314,13 +458,6 @@ class LanePool {
     downstream_[l] = lane;
   }
 
-  /// Did pop() run on lane \p l since the last clear_moved()? Used for
-  /// head-of-line blocking accounting.
-  [[nodiscard]] bool moved(std::size_t l) const noexcept {
-    return moved_[l] != 0;
-  }
-  void clear_moved(std::size_t l) noexcept { moved_[l] = 0; }
-
   /// First idle lane of the \p lanes-lane buffer starting at \p first
   /// (relative index), or -1 if every lane is claimed.
   [[nodiscard]] int find_idle_lane(std::size_t first,
@@ -344,7 +481,6 @@ class LanePool {
   std::vector<std::uint32_t> count_;
   std::vector<std::uint8_t> busy_;
   std::vector<std::uint8_t> tail_in_;
-  std::vector<std::uint8_t> moved_;
   std::vector<std::uint8_t> out_port_;
   std::vector<std::int32_t> downstream_;
   std::size_t occupied_ = 0;

@@ -10,10 +10,9 @@
 /// only the payload-specific kernels:
 ///
 ///   template <bool kShard> void eject_impl(cycle, measuring, x0, x1, wk);
-///   template <bool kShard> void eject_multipath_impl(...);   // logical cells
+///       // logical cells [x0, x1) (the physical cells when unipath)
 ///   template <bool kShard> void advance_stage_impl(s, cycle, measuring,
 ///                                                  x0, x1, wk);
-///   template <bool kShard> void advance_stage_multipath_impl(...);
 ///   template <bool kShard> void sample_impl(cycle, w, n, wk);
 ///   void inject(cycle, measuring);
 ///   void replay_ejections(ShardWorker&, cycle, measuring);  // worker 0
@@ -24,6 +23,13 @@
 ///
 /// and the base turns them into the full run_switched /
 /// run_switched_sharded policy interface (fabric.hpp, shard.hpp).
+///
+/// Both disciplines arbitrate a cell in one pass (CellRequests): read
+/// each input buffer once, request the out-port its ready head routes
+/// to, grant each port the first candidate in round-robin order from the
+/// arbiter's pointer that the kernel does not refuse (scan_round_robin),
+/// and count the ready buffers that did not move as head-of-line
+/// blocked. No candidate loop divides.
 ///
 /// The bool axes are compile-time because each one measurably changes
 /// the hot loop: kFaulted adds mask probes, kBinary folds the radix to 2
@@ -78,6 +84,18 @@ template <bool kShard>
     return wk->partial;
   } else {
     return core.result;
+  }
+}
+
+/// The cell-pass scratch: the policy's own \p serial one, the worker's
+/// when sharded.
+template <bool kShard>
+[[nodiscard]] CellRequests& cell_requests(CellRequests& serial,
+                                          [[maybe_unused]] ShardWorker* wk) {
+  if constexpr (kShard) {
+    return wk->requests;
+  } else {
+    return serial;
   }
 }
 
@@ -140,23 +158,12 @@ class PolicyBase {
   /// ledger's start-of-cycle harvest lives here.
   void eject(std::uint64_t cycle, bool measuring) {
     if constexpr (kCredits) credits_->deliver(cycle);
-    if constexpr (kMultiPath) {
-      self().template eject_multipath_impl<false>(cycle, measuring, 0,
-                                                  lcells_, nullptr);
-    } else {
-      self().template eject_impl<false>(cycle, measuring, 0, core_.cells(),
-                                        nullptr);
-    }
+    self().template eject_impl<false>(cycle, measuring, 0, lcells_, nullptr);
   }
 
   void advance_stage(int s, std::uint64_t cycle, bool measuring) {
-    if constexpr (kMultiPath) {
-      self().template advance_stage_multipath_impl<false>(
-          s, cycle, measuring, 0, core_.cells(), nullptr);
-    } else {
-      self().template advance_stage_impl<false>(s, cycle, measuring, 0,
-                                                core_.cells(), nullptr);
-    }
+    self().template advance_stage_impl<false>(s, cycle, measuring, 0,
+                                              core_.cells(), nullptr);
   }
 
   /// Sample link business and buffer occupancy (measured cycles only).
@@ -188,34 +195,22 @@ class PolicyBase {
   void shard_eject(std::uint64_t cycle, bool measuring, std::size_t w,
                    std::size_t n, ShardWorker& wk) {
     if (obs_ != nullptr) wk.obs_log = &obs_->log(w);
-    if constexpr (kMultiPath) {
-      // Multipath ejection arbitrates per LOGICAL terminal across
-      // planes, so the partition is by logical cells; the physical
-      // buffers a logical range touches are disjoint per-plane runs.
-      const auto [lx0, lx1] = shard_range(lcells_, w, n);
-      self().template eject_multipath_impl<true>(
-          cycle, measuring, static_cast<std::uint32_t>(lx0),
-          static_cast<std::uint32_t>(lx1), &wk);
-    } else {
-      const auto [x0, x1] = shard_range(core_.cells(), w, n);
-      self().template eject_impl<true>(cycle, measuring,
-                                       static_cast<std::uint32_t>(x0),
-                                       static_cast<std::uint32_t>(x1), &wk);
-    }
+    if (!wk.requests.shaped()) wk.requests = requests_;
+    // Ejection arbitrates per LOGICAL terminal across planes, so the
+    // partition is by logical cells; the physical buffers a logical range
+    // touches are disjoint per-plane runs.
+    const auto [x0, x1] = shard_range(lcells_, w, n);
+    self().template eject_impl<true>(cycle, measuring,
+                                     static_cast<std::uint32_t>(x0),
+                                     static_cast<std::uint32_t>(x1), &wk);
   }
 
   void shard_advance(int s, std::uint64_t cycle, bool measuring,
                      std::size_t w, std::size_t n, ShardWorker& wk) {
     const auto [x0, x1] = shard_range(core_.cells(), w, n);
-    if constexpr (kMultiPath) {
-      self().template advance_stage_multipath_impl<true>(
-          s, cycle, measuring, static_cast<std::uint32_t>(x0),
-          static_cast<std::uint32_t>(x1), &wk);
-    } else {
-      self().template advance_stage_impl<true>(
-          s, cycle, measuring, static_cast<std::uint32_t>(x0),
-          static_cast<std::uint32_t>(x1), &wk);
-    }
+    self().template advance_stage_impl<true>(
+        s, cycle, measuring, static_cast<std::uint32_t>(x0),
+        static_cast<std::uint32_t>(x1), &wk);
   }
 
   /// Worker 0's exclusive phase: replay the cycle's deferred ejection
@@ -269,23 +264,34 @@ class PolicyBase {
 
  protected:
   /// \p credit_links / \p credit_capacity shape the credit ledger (one
-  /// counter per downstream buffer), \p arb_candidates is the weighted
-  /// arbiters' candidate-ring size, \p stall_slots the StallCause
-  /// scratch size (one per buffer the probe loops can block).
+  /// counter per downstream buffer), \p arb_candidates is the stage
+  /// arbiters' candidate-ring size (input buffers per cell), \p
+  /// stall_slots the StallCause scratch size (one per buffer the
+  /// arbitration can block).
   PolicyBase(const PolicyContext& ctx,
              [[maybe_unused]] std::size_t credit_links,
              [[maybe_unused]] std::uint32_t credit_capacity,
-             [[maybe_unused]] unsigned arb_candidates,
-             std::size_t stall_slots)
+             unsigned arb_candidates, std::size_t stall_slots)
       : core_(ctx.core),
         radix_(static_cast<unsigned>(ctx.core.wiring().radix())),
         length_(ctx.core.config().packet_length),
-        obs_(ctx.obs) {
+        obs_(ctx.obs),
+        lradix_(radix_),
+        lcells_(ctx.core.cells()) {
     if constexpr (kMultiPath) {
       const Engine& engine = core_.engine();
       lradix_ = static_cast<unsigned>(engine.logical_radix());
       lcells_ = engine.logical_cells();
       planes_ = static_cast<unsigned>(engine.planes());
+      // Ejection candidate c of a logical cell is buffer c % per_plane of
+      // plane c / per_plane's copy of the cell, per_plane = arb_candidates.
+      for (unsigned plane = 0; plane < planes_; ++plane) {
+        for (unsigned k = 0; k < arb_candidates; ++k) {
+          eject_offset_.push_back(static_cast<std::uint32_t>(
+              static_cast<std::size_t>(plane) * lcells_ * arb_candidates +
+              k));
+        }
+      }
       dilation_ = static_cast<unsigned>(engine.dilation());
       path_policy_ = core_.config().path_policy;
       looping_ = ctx.looping;
@@ -309,6 +315,9 @@ class PolicyBase {
       core_.result.sl_latency.resize(service_levels_);
     }
     if (obs_ != nullptr) stall_cause_.assign(stall_slots, 0);
+    // Multipath ejection arbitrates a logical terminal over every plane's
+    // buffers, the widest candidate ring a cell pass builds.
+    requests_.shape(radix_, planes_ * arb_candidates);
   }
 
   [[nodiscard]] Derived& self() { return static_cast<Derived&>(*this); }
@@ -323,20 +332,90 @@ class PolicyBase {
     }
   }
 
+  // --- Routing ---------------------------------------------------------
+
+  /// The routing registers of one stage, hoisted out of the kernels'
+  /// loops: signed/unsigned TBAA cannot prove the buffer stores don't
+  /// alias the Engine's schedule fields, so an Engine::route_port call
+  /// per move would reload them.
+  struct StageRouting {
+    int stage = 0;
+    bool ejects = false;  ///< the last stage: out-ports are terminals
+    unsigned bit_shift = 0;   // kBinary
+    unsigned bit_invert = 0;  // kBinary
+    std::uint32_t digit_scale = 1;
+    const std::uint32_t* port_of_value = nullptr;
+    /// Mask bit index of the stage's first out-arc (FaultMask::arc_index
+    /// layout).
+    std::size_t arc_base = 0;
+    bool free = false;                       // kMultiPath: any port routes
+    const std::uint8_t* settings = nullptr;  // kMultiPath kLooping, free
+    const std::uint32_t* down = nullptr;     // kMultiPath
+  };
+
+  [[nodiscard]] StageRouting stage_routing(int t) const {
+    StageRouting sr;
+    sr.stage = t;
+    sr.ejects = t + 1 == core_.stages();
+    if (sr.ejects) return sr;
+    const auto st = static_cast<std::size_t>(t);
+    const min::DigitSchedule& schedule = core_.engine().digit_schedule();
+    sr.arc_base = st * core_.ports();
+    if constexpr (kMultiPath) {
+      sr.free = free_stage_[st] != 0;
+      if (sr.free && path_policy_ == PathPolicy::kLooping) {
+        sr.settings = looping_->settings[st].data();
+      }
+      sr.down = core_.wiring().down_stage(t).data();
+    }
+    if constexpr (kBinary) {
+      sr.bit_shift = static_cast<unsigned>(schedule.digit[st]);
+      sr.bit_invert = schedule.port_of_value[st][0];
+    } else if (!sr.free) {
+      sr.digit_scale = core_.engine().route_digit_scale(t);
+      sr.port_of_value = schedule.port_of_value[st].data();
+    }
+    return sr;
+  }
+
+  /// The scheduled out-port for \p dest at interior stage sr.stage (the
+  /// first port of its path group on a multipath fabric).
+  [[nodiscard]] unsigned scheduled_port(const StageRouting& sr,
+                                        std::uint32_t dest) const {
+    if constexpr (kBinary) {
+      return (((dest >> 1) >> sr.bit_shift) & 1U) ^ sr.bit_invert;
+    } else if constexpr (kMultiPath) {
+      if (sr.free) return 0;
+      return sr.port_of_value[((dest / lradix_) / sr.digit_scale) %
+                              lradix_] *
+             dilation_;
+    } else {
+      const unsigned r = radix_;
+      return sr.port_of_value[((dest / r) / sr.digit_scale) % r];
+    }
+  }
+
+  /// Members of the path group at sr.stage (kMultiPath): every port of a
+  /// free connection, the dilation group of a forced one.
+  [[nodiscard]] unsigned group_size(const StageRouting& sr) const {
+    return sr.free ? radix_ : dilation_;
+  }
+
   // --- The arbitration seam (kCredits only varies it) ------------------
   // Round-robin and strict priority keep the core's RoundRobin pointer
   // state — priority filters candidates before the pointer ever moves,
   // so uniform weights degrade to plain round-robin byte for byte —
-  // while the weighted policy swaps in the quantum WRR state.
+  // while the weighted policy swaps in the quantum WRR state. Each
+  // port's request set is scanned with scan_round_robin from arb_start:
+  // the first candidate the kernel does not refuse wins.
 
-  [[nodiscard]] unsigned arb_candidate(int s, std::size_t out,
-                                       unsigned probe) {
+  [[nodiscard]] unsigned arb_start(int s, std::size_t out) {
     if constexpr (kCredits) {
       if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
-        return weighted_.candidate(arb_index(s, out), probe);
+        return weighted_.next(arb_index(s, out));
       }
     }
-    return core_.arbiter(s, out).candidate(probe);
+    return core_.arbiter(s, out).next();
   }
 
   void arb_grant(int s, std::size_t out, unsigned winner,
@@ -355,6 +434,46 @@ class PolicyBase {
     return static_cast<std::size_t>(s) * core_.ports() + out;
   }
 
+  /// Ejection arbitrates per terminal: the last stage's port arbiters on
+  /// a unipath fabric, a per-logical-terminal pointer over every plane's
+  /// buffers on a multipath one.
+  [[nodiscard]] unsigned eject_start(std::size_t term) {
+    if constexpr (kMultiPath) {
+      return core_.eject_arbiter(term).next();
+    } else {
+      return arb_start(core_.stages() - 1, term);
+    }
+  }
+  void eject_grant(std::size_t term, unsigned winner, unsigned vl) {
+    if constexpr (kMultiPath) {
+      core_.eject_arbiter(term).grant(winner);
+    } else {
+      arb_grant(core_.stages() - 1, term, winner, vl);
+    }
+  }
+
+  /// Buffer offset of ejection candidate \p c from its logical cell's
+  /// first buffer (plane 0's copy) — the identity on a unipath fabric.
+  [[nodiscard]] std::size_t eject_offset(unsigned c) const {
+    if constexpr (kMultiPath) {
+      return eject_offset_[c];
+    } else {
+      return c;
+    }
+  }
+
+  /// Strict priority: the highest weight class among the requests in
+  /// \p set — only a head of that class may win the port this cycle.
+  template <class Weight>
+  [[nodiscard]] static unsigned top_weight(const std::uint64_t* set,
+                                           std::size_t words,
+                                           Weight&& weight) {
+    unsigned top = 0;
+    for_each_member(set, words,
+                    [&](unsigned c) { top = std::max(top, weight(c)); });
+    return top;
+  }
+
   /// One measured delivery's order-sensitive statistics: the aggregate
   /// latency, the per-SL latency (credit runs) and the flow recorder.
   /// Serial ejection and worker 0's replay both land here.
@@ -367,6 +486,21 @@ class PolicyBase {
     }
   }
 
+  /// Close one cell pass: every ready candidate that did not move was
+  /// head-of-line blocked. Measured cycles add them to
+  /// hol_blocking_cycles; with an observer, \p charge(c) attributes each
+  /// (ascending candidate order, so the stall counters partition the
+  /// count exactly). Leaves the ready set empty.
+  template <class Charge>
+  void account_cell(CellRequests& req, bool measuring, SimResult& res,
+                    obs::WorkerLog* log, Charge&& charge) {
+    if (measuring) {
+      res.hol_blocking_cycles += req.blocked();
+      if (log != nullptr) [[unlikely]] req.for_each_blocked(charge);
+    }
+    req.clear_ready();
+  }
+
   // --- Stall attribution (observability runs only) ---------------------
 
   /// Record why the head in StallCause slot \p slot could not move.
@@ -374,14 +508,14 @@ class PolicyBase {
     stall_cause_[slot] = static_cast<std::uint8_t>(cause);
   }
 
-  /// Reset slots [lo, hi) to lost-arbitration (cause 0); the probe loops
-  /// then overwrite the specific causes they detect.
+  /// Reset slots [lo, hi) to lost-arbitration (cause 0); the arbitration
+  /// scans then overwrite the specific causes they detect.
   void clear_stall_causes(std::size_t lo, std::size_t hi) {
     std::fill(stall_cause_.begin() + static_cast<std::ptrdiff_t>(lo),
               stall_cause_.begin() + static_cast<std::ptrdiff_t>(hi), 0);
   }
 
-  /// One blocked head-cycle's telemetry, called from the scan that
+  /// One blocked head-cycle's telemetry, called from the cell pass that
   /// counts hol_blocking_cycles so the per-cause counters partition it
   /// exactly: the per-cause SimResult counter, the per-stage probe
   /// counter, and a stall instant for traced packets. \p slot indexes
@@ -555,17 +689,21 @@ class PolicyBase {
   WeightedRoundRobin weighted_;                      // kCredits only
   std::size_t service_levels_ = 1;                   // kCredits only
   std::size_t credit_links_ = 0;                     // kCredits only
-  unsigned lradix_ = 2;                              // kMultiPath only
-  std::uint32_t lcells_ = 1;                         // kMultiPath only
+  /// Logical radix and cells per stage: the physical ones on a unipath
+  /// fabric.
+  unsigned lradix_;
+  std::uint32_t lcells_;
   unsigned planes_ = 1;                              // kMultiPath only
   unsigned dilation_ = 1;                            // kMultiPath only
   PathPolicy path_policy_ = PathPolicy::kHash;       // kMultiPath only
   const multipath::LoopingSettings* looping_ = nullptr;  // kMultiPath only
   const std::uint8_t* free_stage_ = nullptr;         // kMultiPath only
-  /// Per-buffer StallCause scratch, written by the probe loops and read
-  /// by the blocking scan's attribution — same writer partition as the
+  std::vector<std::uint32_t> eject_offset_;          // kMultiPath only
+  /// Per-buffer StallCause scratch, written by the arbitration scans and
+  /// read by the cell pass's attribution — same writer partition as the
   /// buffers themselves. Empty when observability is off.
   std::vector<std::uint8_t> stall_cause_;
+  CellRequests requests_;  ///< serial runs' cell-pass scratch
 };
 
 /// Run one policy instantiation to completion: serial or sharded by

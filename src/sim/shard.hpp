@@ -83,6 +83,9 @@ struct alignas(64) ShardWorker {
   std::vector<workload::Delivery> wl_events;
   /// Wormhole per-VL buffered-flit partial (sample phase).
   std::vector<std::uint64_t> vl_flits;
+  /// This worker's per-cell arbitration scratch (shaped by the policy on
+  /// the worker's first cycle).
+  CellRequests requests;
   /// This worker's observability sink, or null when no observer is
   /// attached: set by the policy's shard_eject each cycle, so the kernels
   /// never need the worker index threaded through — each kernel reads it

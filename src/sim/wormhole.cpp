@@ -56,13 +56,18 @@ class WormholePolicy
       Base::link_counter_, Base::shard_pool_delta_, Base::faulted_,
       Base::credit_config_, Base::credits_, Base::service_levels_,
       Base::credit_links_, Base::lradix_, Base::lcells_, Base::planes_,
-      Base::dilation_, Base::path_policy_, Base::looping_, Base::free_stage_;
-  using Base::radix, Base::arb_candidate, Base::arb_grant,
-      Base::record_delivery, Base::mark_stall, Base::clear_stall_causes,
-      Base::attribute_stall, Base::traced, Base::maybe_commit_probe,
-      Base::trace_inject, Base::trace_stage_cross, Base::trace_reroute,
-      Base::trace_eject, Base::eject_stall_phase, Base::drain_phase,
-      Base::advance_phase, Base::stall_phase, Base::inject_phase;
+      Base::dilation_, Base::path_policy_, Base::looping_, Base::free_stage_,
+      Base::requests_;
+  using Base::radix, Base::arb_start, Base::arb_grant, Base::eject_start,
+      Base::eject_grant, Base::eject_offset, Base::top_weight,
+      Base::account_cell, Base::record_delivery, Base::mark_stall,
+      Base::clear_stall_causes, Base::attribute_stall, Base::traced,
+      Base::maybe_commit_probe, Base::trace_inject, Base::trace_stage_cross,
+      Base::trace_reroute, Base::trace_eject, Base::eject_stall_phase,
+      Base::drain_phase, Base::advance_phase, Base::stall_phase,
+      Base::inject_phase, Base::stage_routing, Base::scheduled_port,
+      Base::group_size;
+  using StageRouting = typename Base::StageRouting;
 
  public:
   WormholePolicy(const PolicyContext& ctx, const EjectObserver& observer)
@@ -242,11 +247,18 @@ class WormholePolicy
            core.config().lanes;
   }
 
-  /// Eject at the last stage over cells [x0, x1): one flit per terminal
-  /// port per cycle, round-robin over the radix*lanes candidate lanes.
-  /// Ejection links are terminal attachments, not wiring arcs, so they
-  /// cannot fault. Sharded (kShard), every order-sensitive sink — the
-  /// observer call, the Welford latency adds, the per-SL latency —
+  /// Eject at the last stage over logical cells [x0, x1) (the physical
+  /// cells on a unipath fabric): one flit per terminal per cycle,
+  /// round-robin over the cell's radix * lanes candidate lanes — on a
+  /// multipath fabric over the planes * radix * lanes last-stage lanes of
+  /// every plane's copy of the cell (a worm may arrive on any arc of its
+  /// dilation group and in any plane), with a per-logical-terminal
+  /// pointer so no plane starves. A logical cell's candidate lanes live
+  /// at the same offset of every plane, so a logical-cell range owns
+  /// planes_ disjoint physical runs — still single-writer under
+  /// sharding. Ejection links are terminal attachments, not wiring arcs,
+  /// so they cannot fault. Sharded (kShard), every order-sensitive sink —
+  /// the observer call, the Welford latency adds, the per-SL latency —
   /// defers into the worker's event buffer for the serial-phase replay;
   /// order-independent counters accumulate into the worker's partial.
   template <bool kShard>
@@ -254,262 +266,282 @@ class WormholePolicy
                   std::uint32_t x1, ShardWorker* wk) {
     SimResult& res = shard_result<kShard>(core_, wk);
     obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
+    CellRequests& req = cell_requests<kShard>(requests_, wk);
     const int last = core_.stages() - 1;
     const unsigned r = radix();
-    const unsigned candidates =
+    const unsigned lr = kMultiPath ? lradix_ : r;
+    const auto per_plane =
         static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
+    const unsigned candidates = planes_ * per_plane;
     for (std::uint32_t x = x0; x < x1; ++x) {
-      for (unsigned port = 0; port < r; ++port) {
-        // Strict priority scans the ready candidates first: only a worm
-        // of the highest ready weight class may win this cycle.
+      const std::size_t first = lane_index(last, std::size_t{x} * r, 0);
+      for (unsigned c = 0; c < candidates; ++c) {
+        const std::size_t l = first + eject_offset(c);
+        if (pool_.empty(l)) continue;
+        req.set_ready(c);
+        req.request(pool_.out_port(l), c);
+      }
+      if (req.idle()) continue;  // nothing buffered: nothing moves or blocks
+      unsigned port;
+      while (req.next_port(port)) {
+        const std::size_t term = static_cast<std::size_t>(x) * lr + port;
+        // Strict priority: only a worm of the highest ready weight class
+        // may win this cycle.
         [[maybe_unused]] unsigned need_weight = 0;
         if constexpr (kCredits) {
           if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
-            for (unsigned c = 0; c < candidates; ++c) {
-              const std::size_t l =
-                  lane_index(last, x * r + c / lanes_, c % lanes_);
-              if (pool_.empty(l) || pool_.out_port(l) != port) continue;
-              need_weight = std::max(need_weight, flit_weight(l));
-            }
+            need_weight = top_weight(
+                req.set(port), req.words(), [&](unsigned c) {
+                  return flit_weight(first + eject_offset(c));
+                });
           }
         }
-        for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb_candidate(last, x * r + port, probe);
-          const std::size_t l =
-              lane_index(last, x * r + c / lanes_, c % lanes_);
-          if (pool_.empty(l) || pool_.out_port(l) != port) continue;
-          [[maybe_unused]] unsigned vl = 0;
-          if constexpr (kCredits) {
-            vl = credit_config_->vl_of_sl(
-                static_cast<unsigned>(pool_.front(l).sl));
-            if (credit_config_->arbitration ==
-                    ArbitrationPolicy::kPriority &&
-                credit_config_->weight(vl) != need_weight) {
-              continue;
-            }
-          }
-          const Flit flit = shard_pop<kShard>(l, wk);
-          if constexpr (kCredits) credits_->give_back(l, cycle);
-          arb_grant(last, x * r + port, c, vl);
-          const bool counted =
-              measuring && flit.inject_cycle >= core_.config().warmup_cycles;
-          if (counted) ++res.flits_delivered;
-          if (log != nullptr) [[unlikely]] {
-            trace_flit_eject(*log, measuring, cycle, flit);
-          }
-          if constexpr (kFaulted) {
-            // A detoured worm ejects at whatever terminal the surviving
-            // route reached; count the miss.
-            if (counted && flit.is_tail() &&
-                (flit.dest_terminal / r) != x) {
-              ++res.packets_misdelivered;
-            }
-          }
-          complete_eject<kShard>(flit, x * r + port, cycle, counted, wk);
-          break;
+        const unsigned c = scan_round_robin(
+            req.set(port), req.words(), eject_start(term),
+            [&]([[maybe_unused]] unsigned c) {
+              if constexpr (kCredits) {
+                return credit_config_->arbitration !=
+                           ArbitrationPolicy::kPriority ||
+                       flit_weight(first + eject_offset(c)) == need_weight;
+              }
+              return true;
+            });
+        req.clear_set(port);
+        if (c == kNoCandidate) continue;
+        const std::size_t l = first + eject_offset(c);
+        [[maybe_unused]] unsigned vl = 0;
+        if constexpr (kCredits) {
+          vl = credit_config_->vl_of_sl(
+              static_cast<unsigned>(pool_.front(l).sl));
         }
+        const Flit flit = shard_pop<kShard>(l, wk);
+        if constexpr (kCredits) credits_->give_back(l, cycle);
+        eject_grant(term, c, vl);
+        req.moved(c);
+        const bool counted =
+            measuring && flit.inject_cycle >= core_.config().warmup_cycles;
+        if (counted) ++res.flits_delivered;
+        if (log != nullptr) [[unlikely]] {
+          trace_flit_eject(*log, measuring, cycle, flit);
+        }
+        if constexpr (kFaulted) {
+          // A detoured worm ejects at whatever terminal the surviving
+          // route reached; count the miss.
+          if (counted && flit.is_tail() && (flit.dest_terminal / lr) != x) {
+            ++res.packets_misdelivered;
+          }
+        }
+        complete_eject<kShard>(flit, static_cast<std::uint32_t>(term), cycle,
+                               counted, wk);
       }
+      // Planes own consecutive candidate runs and one stall phase each.
+      unsigned plane = 0;
+      unsigned plane_end = per_plane;
+      account_cell(req, measuring, res, log, [&](unsigned c) {
+        while (c >= plane_end) {
+          ++plane;
+          plane_end += per_plane;
+        }
+        const std::size_t l = first + eject_offset(c);
+        attribute_stall(last, cycle, l, l, res, *log,
+                        eject_stall_phase(plane));
+      });
     }
-    const std::size_t first = lane_index(last, 0, 0);
-    account_stage(cycle, measuring,
-                  first + static_cast<std::size_t>(x0) * r * lanes_,
-                  first + static_cast<std::size_t>(x1) * r * lanes_, res, log,
-                  last, eject_stall_phase(0));
   }
 
-  /// Advance stage \p s over cells [x0, x1): one flit per output link
-  /// per cycle; heads claim an idle downstream lane, body/tail flits
-  /// follow the reservation. Safe to shard by cell ranges: a worker
+  /// Advance stage \p s over cells [x0, x1) in one pass per cell: one
+  /// flit per output link per cycle; every non-empty lane requests its
+  /// worm's out-port, heads claim an idle downstream lane and body/tail
+  /// flits follow the reservation. Safe to shard by cell ranges: a worker
   /// pushes only into stage-(s+1) lanes reached through its own cells'
   /// arcs, and the perfect-matching property makes each of those lanes
-  /// single-writer for the whole phase. The next stage's routing-schedule
-  /// reads (and, faulted, the mask probes) are hoisted to per-stage
-  /// registers — see StoreAndForwardPolicy::advance_stage_impl for the
-  /// aliasing rationale.
+  /// single-writer for the whole phase.
   template <bool kShard>
   void advance_stage_impl(int s, std::uint64_t cycle, bool measuring,
                           std::uint32_t x0, std::uint32_t x1,
                           ShardWorker* wk) {
     SimResult& res = shard_result<kShard>(core_, wk);
     obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
+    CellRequests& req = cell_requests<kShard>(requests_, wk);
     const unsigned r = radix();
     const auto down = core_.wiring().down_stage(s);
-    // Routing constants for the target stage s + 1, where an advancing
-    // head resolves its next out-port (ejection port when s + 1 is the
-    // last stage).
-    const bool target_ejects = s + 2 == core_.stages();
-    unsigned bit_shift = 0;
-    unsigned bit_invert = 0;
-    std::uint32_t digit_scale = 1;
-    const std::uint32_t* port_of_value = nullptr;
-    if (!target_ejects) {
-      if constexpr (kBinary) {
-        const min::DigitSchedule& schedule = core_.engine().digit_schedule();
-        bit_shift = static_cast<unsigned>(
-            schedule.digit[static_cast<std::size_t>(s + 1)]);
-        bit_invert =
-            schedule.port_of_value[static_cast<std::size_t>(s + 1)][0];
-      } else {
-        digit_scale = core_.engine().route_digit_scale(s + 1);
-        port_of_value = core_.engine()
-                            .digit_schedule()
-                            .port_of_value[static_cast<std::size_t>(s + 1)]
-                            .data();
-      }
-    }
-    const auto route_next = [&](std::uint32_t dest) -> unsigned {
-      if (target_ejects) return dest % r;
-      if constexpr (kBinary) {
-        return (((dest >> 1) >> bit_shift) & 1U) ^ bit_invert;
-      } else {
-        return port_of_value[((dest / r) / digit_scale) % r];
-      }
-    };
-    // Faulted: arc bit index = stage base + the record's array offset
-    // (FaultMask::arc_index's layout), with the policy's folded radix.
-    [[maybe_unused]] std::size_t arc_base = 0;
-    [[maybe_unused]] const fault::FaultMask* mask = nullptr;
+    // Where an advancing head resolves its next out-port.
+    const StageRouting next = stage_routing(s + 1);
     if constexpr (kFaulted) {
       drain_dropping<kShard>(s, cycle, measuring, x0, x1, wk);
-      arc_base = static_cast<std::size_t>(s) * core_.ports();
-      mask = &faulted_.mask();
     }
-    if (log != nullptr) [[unlikely]] {
-      const std::size_t first = lane_index(s, 0, 0);
-      clear_stall_causes(first + static_cast<std::size_t>(x0) * r * lanes_,
-                         first + static_cast<std::size_t>(x1) * r * lanes_);
-    }
-    const unsigned candidates =
+    const auto per_cell =
         static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
+    if (log != nullptr) [[unlikely]] {
+      clear_stall_causes(lane_index(s, std::size_t{x0} * r, 0),
+                         lane_index(s, std::size_t{x1} * r, 0));
+    }
     std::uint64_t moves = 0;  // flits that left stage s this cycle
     for (std::uint32_t x = x0; x < x1; ++x) {
-      for (unsigned port = 0; port < r; ++port) {
-        if constexpr (kFaulted) {
-          // A dead link transmits nothing (no worm ever resolves its
-          // out-port onto a masked arc, so this is just a fast skip).
-          if (mask->faulted_index(arc_base + x * r + port)) continue;
-        }
-        // Strict priority scans the ready candidates first: only a worm
-        // of the highest ready weight class may win this cycle.
+      const std::size_t first = lane_index(s, std::size_t{x} * r, 0);
+      for (unsigned c = 0; c < per_cell; ++c) {
+        if (pool_.empty(first + c)) continue;
+        req.set_ready(c);
+        req.request(pool_.out_port(first + c), c);
+      }
+      if (req.idle()) continue;  // nothing buffered: nothing moves or blocks
+      unsigned port;
+      while (req.next_port(port)) {
+        // Strict priority: only a worm of the highest ready weight class
+        // may win this cycle.
         [[maybe_unused]] unsigned need_weight = 0;
         if constexpr (kCredits) {
           if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
-            for (unsigned c = 0; c < candidates; ++c) {
-              const std::size_t l =
-                  lane_index(s, x * r + c / lanes_, c % lanes_);
-              if (pool_.empty(l) || pool_.out_port(l) != port) continue;
-              need_weight = std::max(need_weight, flit_weight(l));
-            }
+            need_weight = top_weight(
+                req.set(port), req.words(),
+                [&](unsigned c) { return flit_weight(first + c); });
           }
         }
-        for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb_candidate(s, x * r + port, probe);
-          const std::size_t l = lane_index(s, x * r + c / lanes_, c % lanes_);
-          if (pool_.empty(l) || pool_.out_port(l) != port) continue;
-          [[maybe_unused]] unsigned vl = 0;
-          if constexpr (kCredits) {
-            vl = credit_config_->vl_of_sl(
-                static_cast<unsigned>(pool_.front(l).sl));
-            if (credit_config_->arbitration ==
-                    ArbitrationPolicy::kPriority &&
-                credit_config_->weight(vl) != need_weight) {
-              continue;
-            }
-          }
-          // One packed read gives the child cell and its input slot —
-          // the record value r * child + slot IS the downstream
-          // port-slot index.
-          const std::uint32_t record = down[x * r + port];
-          const std::size_t target_first = lane_index(s + 1, record, 0);
-          if (pool_.front(l).is_head()) {
-            // The head claims a downstream lane: its fixed virtual lane
-            // when an SL->VL map is configured, the first idle lane
-            // otherwise.
-            int down_lane;
-            if constexpr (kCredits) {
-              if (!credit_config_->sl_map.empty()) {
-                down_lane = static_cast<int>(vl);
-                if (!pool_.idle(target_first +
-                                static_cast<std::size_t>(down_lane))) {
-                  if (log != nullptr) [[unlikely]] {
-                    mark_stall(l, obs::StallCause::kNoFreeLane);
-                  }
-                  continue;  // blocked: its lane is held by another worm
+        // One packed read gives the child cell and its input slot — the
+        // record value r * child + slot IS the downstream port-slot
+        // index.
+        const std::size_t out = std::size_t{x} * r + port;
+        const std::uint32_t record = down[out];
+        const std::size_t target_first = lane_index(s + 1, record, 0);
+        int down_lane = -1;  // the downstream lane a winning head claims
+        const unsigned c = scan_round_robin(
+            req.set(port), req.words(), arb_start(s, out), [&](unsigned c) {
+              const std::size_t l = first + c;
+              if constexpr (kCredits) {
+                if (credit_config_->arbitration ==
+                        ArbitrationPolicy::kPriority &&
+                    flit_weight(l) != need_weight) {
+                  return false;
                 }
-              } else {
-                down_lane = pool_.find_idle_lane(target_first, lanes_);
+              }
+              if (pool_.front(l).is_head()) {
+                // The head claims a downstream lane: its fixed virtual
+                // lane when an SL->VL map is configured, the first idle
+                // lane otherwise.
+                bool fixed = false;
+                if constexpr (kCredits) {
+                  if (!credit_config_->sl_map.empty()) {
+                    fixed = true;
+                    down_lane = static_cast<int>(credit_config_->vl_of_sl(
+                        static_cast<unsigned>(pool_.front(l).sl)));
+                    if (!pool_.idle(target_first +
+                                    static_cast<std::size_t>(down_lane))) {
+                      down_lane = -1;
+                    }
+                  }
+                }
+                if (!fixed) {
+                  down_lane = pool_.find_idle_lane(target_first, lanes_);
+                }
                 if (down_lane < 0) {
                   if (log != nullptr) [[unlikely]] {
                     mark_stall(l, obs::StallCause::kNoFreeLane);
                   }
-                  continue;  // blocked: no free lane
+                  return false;  // blocked: no (or not its) free lane
+                }
+                if constexpr (kCredits) {
+                  if (!credits_->available(
+                          target_first +
+                          static_cast<std::size_t>(down_lane))) {
+                    // Lane is free but its credits have not returned yet.
+                    credit_stall(res, log, l, s, measuring);
+                    return false;
+                  }
+                }
+                return true;
+              }
+              // Body/tail flits follow through the reserved lane.
+              const std::size_t down_l =
+                  target_first + static_cast<std::size_t>(pool_.downstream(l));
+              if constexpr (kCredits) {
+                if (!credits_->available(down_l)) {
+                  credit_stall(res, log, l, s, measuring);
+                  return false;
+                }
+              } else {
+                if (!pool_.has_space(down_l)) {
+                  if (log != nullptr) [[unlikely]] {
+                    mark_stall(l, obs::StallCause::kDownstreamFull);
+                  }
+                  return false;  // blocked: full
                 }
               }
-              if (!credits_->available(
-                      target_first + static_cast<std::size_t>(down_lane))) {
-                // Lane is free but its credits have not returned yet.
-                credit_stall(res, log, l, s, measuring);
-                continue;
-              }
-            } else {
-              down_lane = pool_.find_idle_lane(target_first, lanes_);
-              if (down_lane < 0) {
-                if (log != nullptr) [[unlikely]] {
-                  mark_stall(l, obs::StallCause::kNoFreeLane);
-                }
-                continue;  // blocked: no free lane
-              }
-            }
-            const Flit flit = shard_pop<kShard>(l, wk);
-            if constexpr (kCredits) credits_->give_back(l, cycle);
-            if (!flit.is_tail()) pool_.set_downstream(l, down_lane);
-            accept_head<kShard>(
-                target_first + static_cast<std::size_t>(down_lane), flit,
-                s + 1, record / r, route_next(flit.dest_terminal), measuring,
-                wk, cycle, advance_phase(s));
-            if (log != nullptr) [[unlikely]] {
-              trace_flit_cross(*log, s, cycle, flit);
-            }
-            if constexpr (kCredits) {
-              credits_->consume(target_first +
-                                static_cast<std::size_t>(down_lane));
-            }
-          } else {
-            // Body/tail flits follow through the reserved lane.
-            const std::size_t down_l =
-                target_first + static_cast<std::size_t>(pool_.downstream(l));
-            if constexpr (kCredits) {
-              if (!credits_->available(down_l)) {
-                credit_stall(res, log, l, s, measuring);
-                continue;
-              }
-              shard_accept<kShard>(down_l, shard_pop<kShard>(l, wk), wk);
-              credits_->give_back(l, cycle);
-              credits_->consume(down_l);
-            } else {
-              if (!pool_.has_space(down_l)) {
-                if (log != nullptr) [[unlikely]] {
-                  mark_stall(l, obs::StallCause::kDownstreamFull);
-                }
-                continue;  // blocked: full
-              }
-              shard_accept<kShard>(down_l, shard_pop<kShard>(l, wk), wk);
-            }
+              return true;
+            });
+        req.clear_set(port);
+        if (c == kNoCandidate) continue;
+        const std::size_t l = first + c;
+        [[maybe_unused]] unsigned vl = 0;
+        if constexpr (kCredits) {
+          vl = credit_config_->vl_of_sl(
+              static_cast<unsigned>(pool_.front(l).sl));
+        }
+        if (pool_.front(l).is_head()) {
+          const std::size_t down_l =
+              target_first + static_cast<std::size_t>(down_lane);
+          const Flit flit = shard_pop<kShard>(l, wk);
+          if constexpr (kCredits) credits_->give_back(l, cycle);
+          if (!flit.is_tail()) pool_.set_downstream(l, down_lane);
+          advance_head<kShard>(next, record, down_l, flit, measuring, wk,
+                               cycle, s);
+          if constexpr (kCredits) credits_->consume(down_l);
+        } else {
+          const std::size_t down_l =
+              target_first + static_cast<std::size_t>(pool_.downstream(l));
+          shard_accept<kShard>(down_l, shard_pop<kShard>(l, wk), wk);
+          if constexpr (kCredits) {
+            credits_->give_back(l, cycle);
+            credits_->consume(down_l);
           }
-          arb_grant(s, x * r + port, c, vl);
-          ++moves;
-          break;
+        }
+        arb_grant(s, out, c, vl);
+        req.moved(c);
+        ++moves;
+      }
+      account_cell(req, measuring, res, log, [&](unsigned c) {
+        attribute_stall(s, cycle, first + c, first + c, res, *log,
+                        stall_phase(s));
+      });
+    }
+    if (measuring) count_hops<kShard>(s, moves, log, wk);
+  }
+
+  /// A head flit that won its output port enters lane \p down_l, input
+  /// \p record of stage next.stage, and resolves its out-port there: the
+  /// schedule (the ejection port at the last stage) on a unipath fabric,
+  /// the path policy's pick within its group on a multipath one.
+  template <bool kShard>
+  void advance_head(const StageRouting& next, std::uint32_t record,
+                    std::size_t down_l, const Flit& flit, bool measuring,
+                    ShardWorker* wk, std::uint64_t cycle, int s) {
+    const unsigned r = radix();
+    const std::uint32_t dest = flit.dest_terminal;
+    unsigned desired;
+    [[maybe_unused]] int reroute_kind = 0;
+    if constexpr (kMultiPath) {
+      desired = next.ejects
+                    ? dest % lradix_
+                    : select_next_port(next, record, flit,
+                                       scheduled_port(next, dest),
+                                       reroute_kind);
+    } else {
+      desired = next.ejects ? dest % r : scheduled_port(next, dest);
+    }
+    accept_head<kShard>(down_l, flit, s + 1, record / r, desired, measuring,
+                        wk, cycle, advance_phase(s));
+    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
+    if (log != nullptr) [[unlikely]] trace_flit_cross(*log, s, cycle, flit);
+    if constexpr (kFaulted && kMultiPath) {
+      if (reroute_kind == 1 && measuring &&
+          flit.inject_cycle >= core_.config().warmup_cycles) {
+        ++shard_result<kShard>(core_, wk).path_reroutes;
+        if (log != nullptr) [[unlikely]] {
+          trace_reroute(*log, s, cycle, flit.inject_cycle,
+                        static_cast<std::uint32_t>(flit.src),
+                        flit.dest_terminal, advance_phase(s));
         }
       }
     }
-    if (measuring) count_hops<kShard>(s, moves, log, wk);
-    // Recomputed rather than kept live across the loop above: one more
-    // register held through the probe loop costs the hot path measurably.
-    const std::size_t first = lane_index(s, 0, 0);
-    account_stage(cycle, measuring,
-                  first + static_cast<std::size_t>(x0) * r * lanes_,
-                  first + static_cast<std::size_t>(x1) * r * lanes_, res, log,
-                  s, stall_phase(s));
   }
 
   /// The sample kernel. Credit runs audit the conservation invariant
@@ -549,13 +581,15 @@ class WormholePolicy
       }
       SimResult& res = shard_result<kShard>(core_, wk);
       vl_flits->assign(lanes_, 0);
+      std::size_t vl = lo % lanes_;  // lane l is virtual lane l % lanes
       for (std::size_t l = lo; l < hi; ++l) {
         const std::uint64_t held = credits_->credits(l);
         if (held > depth ||
             held + credits_->in_flight(l) + pool_.count(l) != depth) {
           ++res.credit_violations;
         }
-        (*vl_flits)[l % lanes_] += pool_.count(l);
+        (*vl_flits)[vl] += pool_.count(l);
+        if (++vl == lanes_) vl = 0;
       }
       if constexpr (!kShard) {
         const double slots_per_vl = total_flit_slots_ /
@@ -715,209 +749,6 @@ class WormholePolicy
     }
   }
 
-  /// Multipath ejection over logical cells [lx0, lx1): logical terminal
-  /// lx * lr + j arbitrates over the planes * radix * lanes last-stage
-  /// lanes of its logical cell (a worm may arrive on any arc of its
-  /// dilation group and in any plane), one flit per terminal per cycle,
-  /// per-terminal round-robin so no plane starves. A logical cell's
-  /// candidate lanes live at the same offset of every plane, so a
-  /// logical-cell range owns planes_ disjoint physical runs — still
-  /// single-writer under sharding.
-  template <bool kShard>
-  void eject_multipath_impl(std::uint64_t cycle, bool measuring,
-                            std::uint32_t lx0, std::uint32_t lx1,
-                            ShardWorker* wk) {
-    SimResult& res = shard_result<kShard>(core_, wk);
-    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
-    const int last = core_.stages() - 1;
-    const unsigned r = radix_;
-    const unsigned candidates = static_cast<unsigned>(
-        static_cast<std::size_t>(planes_) * r * lanes_);
-    for (std::uint32_t lx = lx0; lx < lx1; ++lx) {
-      for (unsigned j = 0; j < lradix_; ++j) {
-        const std::size_t term =
-            static_cast<std::size_t>(lx) * lradix_ + j;
-        RoundRobin& arb = core_.eject_arbiter(term);
-        for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb.candidate(probe);
-          const unsigned per_plane =
-              static_cast<unsigned>(r * lanes_);
-          const std::uint32_t cell =
-              (c / per_plane) * lcells_ + lx;
-          const unsigned slot =
-              (c % per_plane) / static_cast<unsigned>(lanes_);
-          const std::size_t l =
-              lane_index(last, static_cast<std::size_t>(cell) * r + slot,
-                         c % lanes_);
-          if (pool_.empty(l) || pool_.out_port(l) != j) continue;
-          const Flit flit = shard_pop<kShard>(l, wk);
-          arb.grant(c);
-          const bool counted =
-              measuring && flit.inject_cycle >= core_.config().warmup_cycles;
-          if (counted) ++res.flits_delivered;
-          if (log != nullptr) [[unlikely]] {
-            trace_flit_eject(*log, measuring, cycle, flit);
-          }
-          if constexpr (kFaulted) {
-            if (counted && flit.is_tail() &&
-                (flit.dest_terminal / lradix_) != lx) {
-              ++res.packets_misdelivered;
-            }
-          }
-          complete_eject<kShard>(flit, static_cast<std::uint32_t>(term),
-                                 cycle, counted, wk);
-          break;
-        }
-      }
-    }
-    // The per-plane physical runs this logical range owns.
-    const std::size_t first = lane_index(last, 0, 0);
-    for (unsigned plane = 0; plane < planes_; ++plane) {
-      const std::size_t run =
-          static_cast<std::size_t>(plane) * lcells_ * r * lanes_;
-      account_stage(cycle, measuring,
-                    first + run + static_cast<std::size_t>(lx0) * r * lanes_,
-                    first + run + static_cast<std::size_t>(lx1) * r * lanes_,
-                    res, log, last, eject_stall_phase(plane));
-    }
-  }
-
-  /// Multipath advancement: identical link/lane mechanics to the
-  /// unipath loop, but an advancing head resolves its stage-(s+1)
-  /// out-port by selecting within the fabric's equivalent-path group
-  /// (select_next_port) instead of reading a single scheduled port.
-  template <bool kShard>
-  void advance_stage_multipath_impl(int s, std::uint64_t cycle,
-                                    bool measuring, std::uint32_t x0,
-                                    std::uint32_t x1, ShardWorker* wk) {
-    SimResult& res = shard_result<kShard>(core_, wk);
-    obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
-    const unsigned r = radix_;
-    const auto down = core_.wiring().down_stage(s);
-    const bool target_ejects = s + 2 == core_.stages();
-    // Routing constants for the target stage s + 1: the free flag, the
-    // forced-group schedule reads, the looping settings row, and (for
-    // the adaptive metric) the stage-(s+1) child records.
-    bool next_free = false;
-    std::uint32_t digit_scale = 1;
-    const std::uint32_t* port_of_value = nullptr;
-    const std::uint8_t* settings = nullptr;
-    const std::uint32_t* down_next = nullptr;
-    if (!target_ejects) {
-      next_free = free_stage_[static_cast<std::size_t>(s + 1)] != 0;
-      if (!next_free) {
-        digit_scale = core_.engine().route_digit_scale(s + 1);
-        port_of_value = core_.engine()
-                            .digit_schedule()
-                            .port_of_value[static_cast<std::size_t>(s + 1)]
-                            .data();
-      } else if (path_policy_ == PathPolicy::kLooping) {
-        settings =
-            looping_->settings[static_cast<std::size_t>(s + 1)].data();
-      }
-      if (path_policy_ == PathPolicy::kAdaptive) {
-        down_next = core_.wiring().down_stage(s + 1).data();
-      }
-    }
-    [[maybe_unused]] std::size_t arc_base = 0;
-    [[maybe_unused]] const fault::FaultMask* mask = nullptr;
-    if constexpr (kFaulted) {
-      drain_dropping<kShard>(s, cycle, measuring, x0, x1, wk);
-      arc_base = static_cast<std::size_t>(s) * core_.ports();
-      mask = &faulted_.mask();
-    }
-    if (log != nullptr) [[unlikely]] {
-      const std::size_t first = lane_index(s, 0, 0);
-      clear_stall_causes(first + static_cast<std::size_t>(x0) * r * lanes_,
-                         first + static_cast<std::size_t>(x1) * r * lanes_);
-    }
-    const unsigned candidates =
-        static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
-    std::uint64_t moves = 0;  // flits that left stage s this cycle
-    for (std::uint32_t x = x0; x < x1; ++x) {
-      for (unsigned port = 0; port < r; ++port) {
-        if constexpr (kFaulted) {
-          if (mask->faulted_index(arc_base + x * r + port)) continue;
-        }
-        for (unsigned probe = 0; probe < candidates; ++probe) {
-          const unsigned c = arb_candidate(s, x * r + port, probe);
-          const std::size_t l = lane_index(s, x * r + c / lanes_, c % lanes_);
-          if (pool_.empty(l) || pool_.out_port(l) != port) continue;
-          const std::uint32_t record = down[x * r + port];
-          const std::size_t target_first = lane_index(s + 1, record, 0);
-          if (pool_.front(l).is_head()) {
-            const int down_lane = pool_.find_idle_lane(target_first, lanes_);
-            if (down_lane < 0) {
-              if (log != nullptr) [[unlikely]] {
-                mark_stall(l, obs::StallCause::kNoFreeLane);
-              }
-              continue;  // blocked: no free lane
-            }
-            const Flit flit = shard_pop<kShard>(l, wk);
-            if (!flit.is_tail()) pool_.set_downstream(l, down_lane);
-            unsigned desired;
-            int reroute_kind = 0;
-            if (target_ejects) {
-              desired = flit.dest_terminal % lradix_;
-            } else {
-              unsigned base = 0;
-              unsigned count = r;
-              if (!next_free) {
-                base = port_of_value[((flit.dest_terminal / lradix_) /
-                                      digit_scale) %
-                                     lradix_] *
-                       dilation_;
-                count = dilation_;
-              }
-              desired = select_next_port(s + 1, record, flit, base, count,
-                                         settings, down_next, mask,
-                                         reroute_kind);
-            }
-            accept_head<kShard>(
-                target_first + static_cast<std::size_t>(down_lane), flit,
-                s + 1, record / r, desired, measuring, wk, cycle,
-                advance_phase(s));
-            if (log != nullptr) [[unlikely]] {
-              trace_flit_cross(*log, s, cycle, flit);
-            }
-            if constexpr (kFaulted) {
-              if (reroute_kind == 1 && measuring &&
-                  flit.inject_cycle >= core_.config().warmup_cycles) {
-                ++res.path_reroutes;
-                if (log != nullptr) [[unlikely]] {
-                  trace_reroute(*log, s, cycle, flit.inject_cycle,
-                                static_cast<std::uint32_t>(flit.src),
-                                flit.dest_terminal, advance_phase(s));
-                }
-              }
-            }
-          } else {
-            const std::size_t down_l =
-                target_first + static_cast<std::size_t>(pool_.downstream(l));
-            if (!pool_.has_space(down_l)) {
-              if (log != nullptr) [[unlikely]] {
-                mark_stall(l, obs::StallCause::kDownstreamFull);
-              }
-              continue;  // blocked: full
-            }
-            shard_accept<kShard>(down_l, shard_pop<kShard>(l, wk), wk);
-          }
-          arb_grant(s, x * r + port, c, 0);
-          ++moves;
-          break;
-        }
-      }
-    }
-    if (measuring) count_hops<kShard>(s, moves, log, wk);
-    // Recomputed rather than kept live across the loop above: one more
-    // register held through the probe loop costs the hot path measurably.
-    const std::size_t first = lane_index(s, 0, 0);
-    account_stage(cycle, measuring,
-                  first + static_cast<std::size_t>(x0) * r * lanes_,
-                  first + static_cast<std::size_t>(x1) * r * lanes_, res, log,
-                  s, stall_phase(s));
-  }
-
   /// Multipath injection: logical terminal t feeds physical input slot
   /// (t % lr) * dilation of its logical cell, choosing a plane per
   /// packet on replicated fabrics (hash of the destination, or the
@@ -927,23 +758,7 @@ class WormholePolicy
   void inject_multipath(std::uint64_t cycle, bool measuring) {
     obs::WorkerLog* const log = kernel_log<false>(obs_, nullptr);
     const unsigned r = radix_;
-    const bool first_free = free_stage_[0] != 0;
-    std::uint32_t digit_scale = 1;
-    const std::uint32_t* port_of_value = nullptr;
-    const std::uint8_t* settings = nullptr;
-    const std::uint32_t* down_next = nullptr;
-    if (!first_free) {
-      digit_scale = core_.engine().route_digit_scale(0);
-      port_of_value =
-          core_.engine().digit_schedule().port_of_value[0].data();
-    } else if (path_policy_ == PathPolicy::kLooping) {
-      settings = looping_->settings[0].data();
-    }
-    if (path_policy_ == PathPolicy::kAdaptive) {
-      down_next = core_.wiring().down_stage(0).data();
-    }
-    [[maybe_unused]] const fault::FaultMask* mask = nullptr;
-    if constexpr (kFaulted) mask = &faulted_.mask();
+    const StageRouting first = stage_routing(0);
     for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
       SourceState& src = sources_[t];
       if (src.remaining > 0) {
@@ -1004,13 +819,8 @@ class WormholePolicy
                                   cycle, 0, length_, 0, packet.tag);
       int reroute_kind = 0;
       const unsigned desired = select_next_port(
-          0, static_cast<std::uint32_t>(port_index), head,
-          first_free
-              ? 0U
-              : port_of_value[((dest / lradix_) / digit_scale) % lradix_] *
-                    dilation_,
-          first_free ? r : dilation_, settings, down_next, mask,
-          reroute_kind);
+          first, static_cast<std::uint32_t>(port_index), head,
+          scheduled_port(first, dest), reroute_kind);
       accept_head<false>(
           lane_index(0, port_index, static_cast<std::size_t>(lane)), head, 0,
           static_cast<std::uint32_t>(port_index / r), desired, measuring,
@@ -1046,21 +856,22 @@ class WormholePolicy
     }
   }
 
-  /// The path-selection seam: the out-port the head entering stage
-  /// \p next_s on record \p record (cell * r + input slot) will take,
-  /// chosen within the equivalent-path group [\p base, \p base +
-  /// \p count) by the configured policy. Faulted: a masked choice
+  /// The path-selection seam: the out-port the head entering interior
+  /// stage sr.stage on record \p record (cell * r + input slot) will
+  /// take, chosen within the equivalent-path group [\p base, \p base +
+  /// group_size) by the configured policy. Faulted: a masked choice
   /// re-selects among the surviving group members (\p reroute_kind = 1);
   /// a fully-masked group returns the scheduled base and lets
   /// accept_head run the unipath out-of-group detour (or dead-switch
   /// drop).
-  [[nodiscard]] unsigned select_next_port(
-      int next_s, std::uint32_t record, const Flit& flit, unsigned base,
-      unsigned count, const std::uint8_t* settings,
-      const std::uint32_t* down_next,
-      [[maybe_unused]] const fault::FaultMask* mask, int& reroute_kind) {
+  [[nodiscard]] unsigned select_next_port(const StageRouting& sr,
+                                          std::uint32_t record,
+                                          const Flit& flit, unsigned base,
+                                          int& reroute_kind) {
     const unsigned r = radix_;
+    const unsigned count = group_size(sr);
     const std::uint32_t y = record / r;
+    [[maybe_unused]] const std::size_t row = sr.arc_base + y * r;
     reroute_kind = 0;
     if (path_policy_ == PathPolicy::kAdaptive) {
       // Least-occupancy: the group member whose downstream lanes hold
@@ -1071,14 +882,10 @@ class WormholePolicy
       for (unsigned k = 0; k < count; ++k) {
         const unsigned p = base + k;
         if constexpr (kFaulted) {
-          if (mask->faulted_index(
-                  static_cast<std::size_t>(next_s) * core_.ports() + y * r +
-                  p)) {
-            continue;
-          }
+          if (faulted_.mask().faulted_index(row + p)) continue;
         }
         const std::size_t occupancy =
-            port_occupancy(next_s + 1, down_next[y * r + p]);
+            port_occupancy(sr.stage + 1, sr.down[y * r + p]);
         if (chosen < 0 || occupancy < best) {
           best = occupancy;
           chosen = static_cast<int>(p);
@@ -1088,25 +895,21 @@ class WormholePolicy
       return base;  // whole group masked: accept_head detours or drops
     }
     unsigned desired;
-    if (settings != nullptr) {
-      desired = settings[static_cast<std::size_t>(y) * lradix_ +
-                         record % r];
+    if (sr.settings != nullptr) {
+      desired = sr.settings[static_cast<std::size_t>(y) * lradix_ +
+                            record % r];
     } else if (count == 1) {
       desired = base;
     } else {
       desired = base + static_cast<unsigned>(
                            path_mix(flit.dest_terminal, flit.inject_cycle,
-                                    static_cast<std::uint64_t>(next_s)) %
+                                    static_cast<std::uint64_t>(sr.stage)) %
                            count);
     }
     if constexpr (kFaulted) {
-      if (next_s + 1 < core_.stages() &&
-          mask->faulted_index(static_cast<std::size_t>(next_s) *
-                              core_.ports() +
-                              y * r + desired)) {
-        const int member = surviving_group_member(
-            *mask, static_cast<std::size_t>(next_s) * core_.ports() + y * r,
-            base, count, desired);
+      if (faulted_.mask().faulted_index(row + desired)) {
+        const int member = surviving_group_member(faulted_.mask(), row, base,
+                                                  count, desired);
         if (member >= 0) {
           reroute_kind = 1;
           return static_cast<unsigned>(member);
@@ -1217,36 +1020,6 @@ class WormholePolicy
         }
         if (flit.is_tail()) dropping_[l] = 0;
       }
-    }
-  }
-
-  /// Count stalled worms over the lane range [lo, hi) and reset its
-  /// per-cycle movement flags. Called right after the stage had its
-  /// switching (or ejection) opportunity, before upstream pushes refill
-  /// it; sharded callers pass exactly their writer partition. With an
-  /// observer (\p log non-null) the same scan charges each stalled
-  /// lane-cycle to its recorded StallCause. The loop is unswitched by
-  /// hand: a call inside the plain scan would force its loop invariants
-  /// out of registers.
-  void account_stage(std::uint64_t cycle, bool measuring, std::size_t lo,
-                     std::size_t hi, SimResult& res, obs::WorkerLog* log,
-                     int stage, std::uint8_t phase) {
-    const auto blocked = [&](std::size_t l) {
-      return measuring && !pool_.empty(l) && !pool_.moved(l);
-    };
-    if (log == nullptr) [[likely]] {
-      for (std::size_t l = lo; l < hi; ++l) {
-        if (blocked(l)) ++res.hol_blocking_cycles;
-        pool_.clear_moved(l);
-      }
-      return;
-    }
-    for (std::size_t l = lo; l < hi; ++l) {
-      if (blocked(l)) {
-        ++res.hol_blocking_cycles;
-        attribute_stall(stage, cycle, l, l, res, *log, phase);
-      }
-      pool_.clear_moved(l);
     }
   }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <stdexcept>
+#include <string>
 
 #include "min/baseline.hpp"
 #include "min/networks.hpp"
@@ -129,6 +131,50 @@ TEST(EngineTest, IsomorphicNetworksSimilarUniformThroughput) {
   }
   EXPECT_GT(lo, 0.0);
   EXPECT_LT(hi - lo, 0.25);
+}
+
+/// The buffer geometry is bounded by name before any pool exists: a
+/// typo'd lane count or depth must not reach the allocator as stages *
+/// ports * lanes * depth slots. Checked through validate() alone, so no
+/// test allocates the oversized pool.
+TEST(SimConfigTest, ValidateBoundsBufferGeometry) {
+  const auto message = [](const SimConfig& config) -> std::string {
+    try {
+      config.validate();
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "";
+  };
+  SimConfig config;
+  config.lanes = SimConfig::kMaxLanes;
+  config.lane_depth = SimConfig::kMaxLaneDepth;
+  config.queue_capacity = SimConfig::kMaxQueueCapacity;
+  EXPECT_NO_THROW(config.validate());
+
+  const struct {
+    std::size_t SimConfig::*field;
+    const char* name;
+    std::size_t max;
+  } bounded[] = {{&SimConfig::lanes, "lanes", SimConfig::kMaxLanes},
+                 {&SimConfig::lane_depth, "lane_depth",
+                  SimConfig::kMaxLaneDepth},
+                 {&SimConfig::queue_capacity, "queue_capacity",
+                  SimConfig::kMaxQueueCapacity}};
+  for (const auto& b : bounded) {
+    SCOPED_TRACE(b.name);
+    for (const std::size_t value :
+         {b.max + 1, std::size_t{100000}, std::size_t{1} << 40}) {
+      SimConfig bad;
+      bad.*b.field = value;
+      const std::string what = message(bad);
+      EXPECT_NE(what.find(std::string(b.name) + " must be <= " +
+                          std::to_string(b.max)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::to_string(value)), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace
