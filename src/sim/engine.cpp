@@ -733,10 +733,6 @@ class StoreAndForwardPolicy
         static_cast<std::size_t>(s) * core_.ports();
     const StageRouting here = stage_routing(s);
     const StageRouting next = stage_routing(s + 1);
-    [[maybe_unused]] bool adaptive = false;
-    if constexpr (kMultiPath) {
-      adaptive = path_policy_ == PathPolicy::kAdaptive;
-    }
     if constexpr (kFaulted) {
       drain_dead_switches<kShard>(s, cycle, measuring, x0, x1, wk);
     }
@@ -856,7 +852,7 @@ class StoreAndForwardPolicy
         if constexpr (kMultiPath) {
           // The push made this port's FIFO fuller: the adaptive heads
           // that lost it may now prefer a later member of their group.
-          if (adaptive) {
+          if (path_policy_ == PathPolicy::kAdaptive) {
             const std::uint64_t losers =
                 requesters & ~(std::uint64_t{1} << c);
             for_each_member(&losers, 1, [&](unsigned slot) {
