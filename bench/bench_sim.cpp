@@ -78,6 +78,43 @@ static void BM_SimHotspot(benchmark::State& state) {
 }
 BENCHMARK(BM_SimHotspot)->DenseRange(3, 7, 2);
 
+// The two ends of a load curve where most switch cells have nothing new
+// to decide each cycle: a 1% offered load (almost every cell idle) and
+// a saturated hotspot (almost every cell blocked behind the hot
+// terminal's tree). The cycle kernels visit only the cells whose inputs
+// changed, so these cost in proportion to traffic rather than to ports.
+static void BM_SimLowLoad(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const mineq::sim::Engine engine(
+      mineq::min::build_network(mineq::min::NetworkKind::kOmega, n));
+  mineq::sim::SimConfig config;
+  config.injection_rate = 0.01;
+  config.packet_length = 4;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 1500;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.run(mineq::sim::Pattern::kUniform, config));
+  }
+}
+BENCHMARK(BM_SimLowLoad)->Arg(10)->Unit(benchmark::kMillisecond);
+
+static void BM_SimHotspotSaturated(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const mineq::sim::Engine engine(
+      mineq::min::build_network(mineq::min::NetworkKind::kBaseline, n));
+  mineq::sim::SimConfig config;
+  config.injection_rate = 1.0;
+  config.packet_length = 4;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 1500;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.run(mineq::sim::Pattern::kHotSpot, config));
+  }
+}
+BENCHMARK(BM_SimHotspotSaturated)->Arg(9)->Unit(benchmark::kMillisecond);
+
 static void BM_EngineConstruction(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto g =

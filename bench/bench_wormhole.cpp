@@ -77,6 +77,45 @@ static void BM_WormholeUniform(benchmark::State& state) {
 }
 BENCHMARK(BM_WormholeUniform)->DenseRange(3, 9, 2);
 
+// The wormhole counterparts of bench_sim's BM_SimLowLoad and
+// BM_SimHotspotSaturated: a 1% offered load and a saturated hotspot,
+// where few cells have anything new to decide each cycle.
+static void BM_WormholeLowLoad(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const mineq::sim::Engine engine(
+      mineq::min::build_network(mineq::min::NetworkKind::kOmega, n));
+  mineq::sim::SimConfig config;
+  config.mode = mineq::sim::SwitchingMode::kWormhole;
+  config.injection_rate = 0.01;
+  config.packet_length = 4;
+  config.lanes = 2;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 1500;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.run(mineq::sim::Pattern::kUniform, config));
+  }
+}
+BENCHMARK(BM_WormholeLowLoad)->Arg(10)->Unit(benchmark::kMillisecond);
+
+static void BM_WormholeHotspotSaturated(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const mineq::sim::Engine engine(
+      mineq::min::build_network(mineq::min::NetworkKind::kBaseline, n));
+  mineq::sim::SimConfig config;
+  config.mode = mineq::sim::SwitchingMode::kWormhole;
+  config.injection_rate = 1.0;
+  config.packet_length = 4;
+  config.lanes = 2;
+  config.warmup_cycles = 100;
+  config.measure_cycles = 1500;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.run(mineq::sim::Pattern::kHotSpot, config));
+  }
+}
+BENCHMARK(BM_WormholeHotspotSaturated)->Arg(9)->Unit(benchmark::kMillisecond);
+
 static void BM_WormholeLanes(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   const mineq::sim::Engine engine(

@@ -375,10 +375,11 @@ class StoreAndForwardPolicy
       Base::credit_config_, Base::credits_, Base::service_levels_,
       Base::credit_links_, Base::lradix_, Base::lcells_, Base::planes_,
       Base::dilation_, Base::path_policy_, Base::looping_, Base::free_stage_,
-      Base::stall_cause_, Base::requests_;
+      Base::stall_cause_, Base::requests_, Base::wakes_, Base::stall_sums_;
   using Base::radix, Base::arb_start, Base::arb_grant, Base::eject_start,
       Base::eject_grant, Base::eject_offset, Base::top_weight,
       Base::account_cell, Base::record_delivery,
+      Base::close_pass, Base::set_cell,
       Base::mark_stall, Base::clear_stall_causes, Base::attribute_stall,
       Base::traced, Base::maybe_commit_probe, Base::trace_inject,
       Base::trace_stage_cross, Base::trace_reroute, Base::trace_eject,
@@ -393,7 +394,7 @@ class StoreAndForwardPolicy
              static_cast<std::size_t>(ctx.core.stages()) * ctx.core.ports(),
              static_cast<std::uint32_t>(ctx.core.config().queue_capacity),
              static_cast<unsigned>(ctx.core.wiring().radix()),
-             ctx.core.ports()),
+             ctx.core.ports(), ctx.core.config().packet_length),
         queues_(ctx.workspace.packet_ring(
             static_cast<std::size_t>(ctx.core.stages()) * ctx.core.ports(),
             ctx.core.config().queue_capacity)),
@@ -407,6 +408,7 @@ class StoreAndForwardPolicy
             static_cast<double>(ctx.core.stages()) *
             static_cast<double>(ctx.core.ports()) *
             static_cast<double>(ctx.core.config().queue_capacity)) {
+    busy_links_.reset(length_);
     if constexpr (kFaulted) {
       dead_cells_.resize(static_cast<std::size_t>(core_.stages() - 1));
       for (int s = 0; s + 1 < core_.stages(); ++s) {
@@ -431,6 +433,9 @@ class StoreAndForwardPolicy
     // drivers, keeping trace bytes thread-count invariant.
     obs::WorkerLog* const log = kernel_log<false>(obs_, nullptr);
     const StageRouting first = stage_routing(0);
+    // A packet that becomes its queue's head wakes the first-stage cell
+    // once it has fully arrived.
+    const auto first_stage = wakes_->template pass<false>(0, cycle);
     for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
       if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
       if (source_busy_until_[t] > cycle) continue;  // still serializing
@@ -454,14 +459,17 @@ class StoreAndForwardPolicy
       const std::uint32_t dest = packet.dest;
       const auto src = static_cast<std::uint32_t>(t);
       const unsigned routed = route(first, t, dest, cycle);
+      bool head;
       if constexpr (kCredits) {
-        queues_.push(q, dest, src, cycle, cycle + length_, routed,
-                     static_cast<unsigned>(t % service_levels_), packet.tag);
+        head = queues_.push(q, dest, src, cycle, cycle + length_, routed,
+                            static_cast<unsigned>(t % service_levels_),
+                            packet.tag);
         credits_->consume(q);
       } else {
-        queues_.push(q, dest, src, cycle, cycle + length_, routed, 0,
-                     packet.tag);
+        head = queues_.push(q, dest, src, cycle, cycle + length_, routed, 0,
+                            packet.tag);
       }
+      if (head) first_stage.wake_due(set_cell(0, t));
       core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
       source_busy_until_[t] = cycle + length_;
       if (measuring) {
@@ -501,7 +509,7 @@ class StoreAndForwardPolicy
   }
 
  private:
-  // A queued packet's route byte (PacketRing::front_route): its out-port
+  // A queued packet's route byte (PacketRing::head_route): its out-port
   // at the queue's stage — the ejection port at the last stage — in the
   // low six bits, resolved once when the packet is pushed: the schedule,
   // the fault detour and the static path policies cannot change while it
@@ -557,7 +565,7 @@ class StoreAndForwardPolicy
   /// emptiest right now.
   [[nodiscard]] unsigned head_route(const StageRouting& sr, std::uint32_t x,
                                     unsigned slot, std::size_t q) const {
-    const unsigned routed = queues_.front_route(q);
+    const unsigned routed = queues_.head_route(q);
     if constexpr (kMultiPath) {
       if (path_policy_ == PathPolicy::kAdaptive && !sr.ejects) {
         int kind = 0;
@@ -591,10 +599,20 @@ class StoreAndForwardPolicy
     SimResult& res = shard_result<kShard>(core_, wk);
     obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
     CellRequests& req = cell_requests<kShard>(requests_, wk);
+    BusyLinks& busy = busy_links<kShard>(wk);
     const int last = core_.stages() - 1;
+    StallTally& sum = stall_sum<kShard>(stall_sums_, last, wk);
+    const auto wake = wakes_->template pass<kShard>(last, cycle);
+    // The range's frozen cells, kept local (pool stores could alias the
+    // sum), and this pass's visited cells that stay awake.
+    StallTally frozen = sum;
+    StallTally awake;
     const unsigned r = radix();
     const unsigned lr = kMultiPath ? lradix_ : r;
     const unsigned candidates = planes_ * r;
+    // Eject is the cycle's first phase: the link-business window moves
+    // here.
+    busy.advance(cycle);
     if (log != nullptr) [[unlikely]] {
       for (unsigned plane = 0; plane < planes_; ++plane) {
         const std::size_t run = static_cast<std::size_t>(plane) * lcells_ * r;
@@ -602,111 +620,148 @@ class StoreAndForwardPolicy
                            run + static_cast<std::size_t>(x1) * r);
       }
     }
-    for (std::uint32_t x = x0; x < x1; ++x) {
-      const std::size_t first = static_cast<std::size_t>(x) * r;
-      for (unsigned c = 0; c < candidates; ++c) {
-        const std::size_t q = queue_index(last, first + eject_offset(c));
-        if (queues_.empty(q) || queues_.front_arrival(q) > cycle) continue;
-        req.set_ready(c);
-        req.request(queues_.front_route(q), c);
-      }
-      if (req.idle()) continue;  // nothing ready: nothing moves or blocks
-      unsigned port;
-      while (req.next_port(port)) {
-        const std::size_t term = static_cast<std::size_t>(x) * lr + port;
-        if (eject_busy_until_[term] > cycle) {
-          req.clear_set(port);
+    for (std::size_t w = x0 / 64; w * 64 < x1; ++w) {
+      for (std::uint64_t cells = wakes_->take(last, w, cycle); cells != 0;
+           cells &= cells - 1) {
+        const auto x = static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(cells)));
+        frozen.thaw(wake.tally[x]);
+        const std::size_t first = static_cast<std::size_t>(x) * r;
+        for (unsigned c = 0; c < candidates; ++c) {
+          const std::size_t q = queue_index(last, first + eject_offset(c));
+          if (queues_.head_ready(q) > cycle) continue;
+          req.set_ready(c);
+          req.request(queues_.head_route(q), c);
+        }
+        if (req.idle()) {  // nothing ready: nothing moves or blocks
+          wake.sleep(x);
           continue;
         }
-        [[maybe_unused]] unsigned need_weight = 0;
-        if constexpr (kCredits) {
-          if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
-            need_weight = top_weight(
-                req.set(port), req.words(), [&](unsigned c) {
-                  return front_weight(
-                      queue_index(last, first + eject_offset(c)));
-                });
+        // A cell stays awake when it grants — and always when every
+        // cell is visited anyway, so observed runs never freeze one.
+        bool awake_next = wake.visit_all;
+        unsigned port;
+        while (req.next_port(port)) {
+          const std::size_t term = static_cast<std::size_t>(x) * lr + port;
+          if (eject_busy_until_[term] > cycle) {
+            req.clear_set(port);
+            continue;
+          }
+          [[maybe_unused]] unsigned need_weight = 0;
+          if constexpr (kCredits) {
+            if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
+              need_weight = top_weight(
+                  req.set(port), req.words(), [&](unsigned c) {
+                    return front_weight(
+                        queue_index(last, first + eject_offset(c)));
+                  });
+            }
+          }
+          const unsigned c = scan_round_robin(
+              req.set(port), req.words(), eject_start(term),
+              [&]([[maybe_unused]] unsigned c) {
+                if constexpr (kCredits) {
+                  return credit_config_->arbitration !=
+                             ArbitrationPolicy::kPriority ||
+                         front_weight(queue_index(
+                             last, first + eject_offset(c))) == need_weight;
+                }
+                return true;
+              });
+          req.clear_set(port);
+          if (c == kNoCandidate) continue;
+          const std::size_t q = queue_index(last, first + eject_offset(c));
+          const std::uint32_t dest = queues_.front_dest(q);
+          const std::uint64_t inject_cycle = queues_.front_inject(q);
+          const std::uint32_t src = queues_.front_src(q);
+          const unsigned tag = queues_.front_tag(q);
+          [[maybe_unused]] unsigned sl = 0;
+          [[maybe_unused]] unsigned vl = 0;
+          if constexpr (kCredits) {
+            sl = queues_.front_sl(q);
+            vl = credit_config_->vl_of_sl(sl);
+          }
+          shard_pop<kShard>(q, wk);
+          if constexpr (kCredits) {
+            credits_->give_back(q, cycle, return_list<kShard>(wk));
+          }
+          eject_busy_until_[term] = cycle + length_;
+          eject_grant(term, c, vl);
+          req.moved(c);
+          awake_next = true;
+          // The port frees when the packet is through; the cell feeding
+          // the buffer sees room now.
+          wake.wake_due(x);
+          wake.wake_parent(first + eject_offset(c));
+          // The buffer's next packet may eject through a later port, or
+          // wake the cell when it has fully arrived.
+          const std::uint64_t ready = queues_.head_ready(q);
+          if (ready <= cycle) {
+            if (queues_.head_route(q) > port) {
+              req.request(queues_.head_route(q), c);
+            }
+          } else if (ready != PacketRing::kNoHead) {
+            wakes_->template wake_at<kShard>(last, x, ready);
+          }
+          if (core_.wants_deliveries()) {
+            // Every delivery feeds the source, warmup included (see
+            // workload::Delivery); eject_cycle counts the serialization
+            // tail so reply latencies match the packet-latency clock.
+            hand_delivery<kShard>(
+                core_, wk,
+                workload::Delivery{
+                    src, dest, static_cast<std::uint32_t>(term), inject_cycle,
+                    cycle + length_, static_cast<std::uint8_t>(tag),
+                    measuring &&
+                        inject_cycle >= core_.config().warmup_cycles});
+          }
+          if (log != nullptr) [[unlikely]] {
+            if (measuring) log->hops[static_cast<std::size_t>(last)] += length_;
+            trace_eject(*log, cycle, inject_cycle, src, dest, true, true);
+          }
+          if (measuring && inject_cycle >= core_.config().warmup_cycles) {
+            res.flits_delivered += length_;
+            const double latency =
+                static_cast<double>(cycle - inject_cycle + length_);
+            if constexpr (kShard) {
+              wk->saf_events.push_back(SafEjectEvent{latency, sl, src, dest});
+            } else {
+              record_delivery(latency, sl, src, dest);
+            }
+            if constexpr (kFaulted) {
+              // A detoured packet ejects at whatever terminal the
+              // surviving route reached; count the miss.
+              if ((dest / lr) != x) ++res.packets_misdelivered;
+            }
           }
         }
-        const unsigned c = scan_round_robin(
-            req.set(port), req.words(), eject_start(term),
-            [&]([[maybe_unused]] unsigned c) {
-              if constexpr (kCredits) {
-                return credit_config_->arbitration !=
-                           ArbitrationPolicy::kPriority ||
-                       front_weight(queue_index(
-                           last, first + eject_offset(c))) == need_weight;
-              }
-              return true;
-            });
-        req.clear_set(port);
-        if (c == kNoCandidate) continue;
-        const std::size_t q = queue_index(last, first + eject_offset(c));
-        const std::uint32_t dest = queues_.front_dest(q);
-        const std::uint64_t inject_cycle = queues_.front_inject(q);
-        const std::uint32_t src = queues_.front_src(q);
-        const unsigned tag = queues_.front_tag(q);
-        [[maybe_unused]] unsigned sl = 0;
-        [[maybe_unused]] unsigned vl = 0;
-        if constexpr (kCredits) {
-          sl = queues_.front_sl(q);
-          vl = credit_config_->vl_of_sl(sl);
-        }
-        shard_pop<kShard>(q, wk);
-        if constexpr (kCredits) credits_->give_back(q, cycle);
-        eject_busy_until_[term] = cycle + length_;
-        eject_grant(term, c, vl);
-        req.moved(c);
-        // The buffer's next packet may eject through a later port.
-        if (!queues_.empty(q) && queues_.front_arrival(q) <= cycle &&
-            queues_.front_route(q) > port) {
-          req.request(queues_.front_route(q), c);
-        }
-        if (core_.wants_deliveries()) {
-          // Every delivery feeds the source, warmup included (see
-          // workload::Delivery); eject_cycle counts the serialization
-          // tail so reply latencies match the packet-latency clock.
-          hand_delivery<kShard>(
-              core_, wk,
-              workload::Delivery{
-                  src, dest, static_cast<std::uint32_t>(term), inject_cycle,
-                  cycle + length_, static_cast<std::uint8_t>(tag),
-                  measuring &&
-                      inject_cycle >= core_.config().warmup_cycles});
-        }
-        if (log != nullptr) [[unlikely]] {
-          if (measuring) log->hops[static_cast<std::size_t>(last)] += length_;
-          trace_eject(*log, cycle, inject_cycle, src, dest, true, true);
-        }
-        if (measuring && inject_cycle >= core_.config().warmup_cycles) {
-          res.flits_delivered += length_;
-          const double latency =
-              static_cast<double>(cycle - inject_cycle + length_);
-          if constexpr (kShard) {
-            wk->saf_events.push_back(SafEjectEvent{latency, sl, src, dest});
-          } else {
-            record_delivery(latency, sl, src, dest);
-          }
-          if constexpr (kFaulted) {
-            // A detoured packet ejects at whatever terminal the
-            // surviving route reached; count the miss.
-            if ((dest / lr) != x) ++res.packets_misdelivered;
-          }
+        // Planes own consecutive candidate runs and one stall phase each.
+        unsigned plane = 0;
+        unsigned plane_end = r;
+        const CellTally share = cell_tally(
+            account_cell(req, measuring, log,
+                         [&](unsigned c) {
+                           while (c >= plane_end) {
+                             ++plane;
+                             plane_end += r;
+                           }
+                           const std::size_t i =
+                               first + eject_offset(c);
+                           attribute_stall(last, cycle, i,
+                                           queue_index(last, i), res,
+                                           *log,
+                                           eject_stall_phase(plane));
+                         }),
+            0);
+        if (awake_next) {
+          awake.add(share);
+        } else {
+          wake.sleep(x);
+          frozen.freeze(wake.tally[x], share);
         }
       }
-      // Planes own consecutive candidate runs and one stall phase each.
-      unsigned plane = 0;
-      unsigned plane_end = r;
-      account_cell(req, measuring, res, log, [&](unsigned c) {
-        while (c >= plane_end) {
-          ++plane;
-          plane_end += r;
-        }
-        const std::size_t i = first + eject_offset(c);
-        attribute_stall(last, cycle, i, queue_index(last, i), res, *log,
-                        eject_stall_phase(plane));
-      });
     }
+    close_pass(sum, frozen, awake, measuring, res);
   }
 
   /// Advance stage \p s over cells [\p x0, \p x1) in one pass per cell:
@@ -727,6 +782,13 @@ class StoreAndForwardPolicy
     SimResult& res = shard_result<kShard>(core_, wk);
     obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
     CellRequests& req = cell_requests<kShard>(requests_, wk);
+    BusyLinks& busy = busy_links<kShard>(wk);
+    StallTally& sum = stall_sum<kShard>(stall_sums_, s, wk);
+    const auto wake = wakes_->template pass<kShard>(s, cycle);
+    // The range's frozen cells, kept local (pool stores could alias the
+    // sum), and this pass's visited cells that stay awake.
+    StallTally frozen = sum;
+    StallTally awake;
     const unsigned r = radix();
     const auto down = core_.wiring().down_stage(s);
     const std::size_t link_base =
@@ -740,146 +802,187 @@ class StoreAndForwardPolicy
       clear_stall_causes(static_cast<std::size_t>(x0) * r,
                          static_cast<std::size_t>(x1) * r);
     }
-    for (std::uint32_t x = x0; x < x1; ++x) {
-      const std::size_t first = static_cast<std::size_t>(x) * r;
-      for (unsigned slot = 0; slot < r; ++slot) {
-        const std::size_t q = queue_index(s, first + slot);
-        if (queues_.empty(q) || queues_.front_arrival(q) > cycle) continue;
-        req.set_ready(slot);
-        req.request(head_route(here, x, slot, q) & kPortBits, slot);
-      }
-      if (req.idle()) continue;  // nothing ready: nothing moves or blocks
-      unsigned port;
-      while (req.next_port(port)) {
-        const std::size_t link = link_base + first + port;
-        if (link_busy_until_[link] > cycle) {
-          req.clear_set(port);
-          continue;  // still serializing the previous packet
+    for (std::size_t w = x0 / 64; w * 64 < x1; ++w) {
+      for (std::uint64_t cells = wakes_->take(s, w, cycle); cells != 0;
+           cells &= cells - 1) {
+        const auto x = static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(cells)));
+        frozen.thaw(wake.tally[x]);
+        const std::size_t first = static_cast<std::size_t>(x) * r;
+        for (unsigned slot = 0; slot < r; ++slot) {
+          const std::size_t q = queue_index(s, first + slot);
+          if (queues_.head_ready(q) > cycle) continue;
+          req.set_ready(slot);
+          req.request(head_route(here, x, slot, q) & kPortBits, slot);
         }
-        [[maybe_unused]] unsigned need_weight = 0;
-        if constexpr (kCredits) {
-          if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
-            need_weight = top_weight(req.set(port), req.words(),
-                                     [&](unsigned c) {
-                                       return front_weight(
-                                           queue_index(s, first + c));
-                                     });
+        if (req.idle()) {  // nothing ready: nothing moves or blocks
+          wake.sleep(x);
+          continue;
+        }
+        // A cell stays awake when it grants — and always when every
+        // cell is visited anyway, so observed runs never freeze one.
+        bool awake_next = wake.visit_all;
+        std::uint32_t credit_stalls = 0;
+        unsigned port;
+        while (req.next_port(port)) {
+          const std::size_t link = link_base + first + port;
+          if (link_busy_until_[link] > cycle) {
+            req.clear_set(port);
+            continue;  // still serializing the previous packet
           }
-        }
-        // One packed read gives the child cell and its input slot — and
-        // the record value r * child + slot IS the downstream port-slot
-        // index (the identity the packing was chosen for).
-        const std::uint32_t record = down[first + port];
-        const std::size_t target = queue_index(s + 1, record);
-        bool stalled = false;
-        const unsigned c = scan_round_robin(
-            req.set(port), req.words(), arb_start(s, first + port),
-            [&](unsigned c) {
-              if constexpr (kCredits) {
-                if (credit_config_->arbitration ==
-                        ArbitrationPolicy::kPriority &&
-                    front_weight(queue_index(s, first + c)) != need_weight) {
-                  return false;
-                }
-                // Credit handshake in place of the occupancy probe. Every
-                // candidate at this output port sends into the same
-                // downstream FIFO, so zero credits stalls the port
-                // outright (conservation guarantees credits <= free
-                // slots; the push can never overflow).
-                if (!credits_->available(target)) {
-                  if (measuring) ++res.credit_stall_cycles;
-                  if (log != nullptr) [[unlikely]] {
-                    mark_stall(first + c, obs::StallCause::kZeroCredits);
-                    if (measuring) ++log->credit[static_cast<std::size_t>(s)];
-                  }
-                  stalled = true;
-                }
-              } else {
-                if (queues_.full(target)) {
-                  if (log != nullptr) [[unlikely]] {
-                    mark_stall(first + c, obs::StallCause::kDownstreamFull);
-                  }
-                  return false;
-                }
-              }
-              return true;
-            });
-        [[maybe_unused]] const std::uint64_t requesters = req.set(port)[0];
-        req.clear_set(port);
-        if (c == kNoCandidate || stalled) continue;
-        const std::size_t q = queue_index(s, first + c);
-        const std::uint32_t dest = queues_.front_dest(q);
-        const std::uint64_t inject_cycle = queues_.front_inject(q);
-        const std::uint32_t src = queues_.front_src(q);
-        const unsigned tag = queues_.front_tag(q);
-        [[maybe_unused]] const unsigned kind =
-            head_route(here, x, c, q) >> kKindShift;
-        [[maybe_unused]] unsigned vl = 0;
-        if constexpr (kCredits) {
-          vl = credit_config_->vl_of_sl(queues_.front_sl(q));
-          shard_push<kShard>(target, dest, src, inject_cycle,
-                             cycle + length_,
-                             route(next, record, dest, inject_cycle),
-                             queues_.front_sl(q), tag, wk);
-          credits_->consume(target);
-          shard_pop<kShard>(q, wk);
-          credits_->give_back(q, cycle);
-        } else {
-          shard_push<kShard>(target, dest, src, inject_cycle,
-                             cycle + length_,
-                             route(next, record, dest, inject_cycle), 0, tag,
-                             wk);
-          shard_pop<kShard>(q, wk);
-        }
-        req.moved(c);
-        link_busy_until_[link] = cycle + length_;
-        arb_grant(s, first + port, c, vl);
-        if (log != nullptr) [[unlikely]] {
-          if (measuring) log->hops[static_cast<std::size_t>(s)] += length_;
-          trace_stage_cross(*log, s, cycle, inject_cycle, src, dest);
-        }
-        if constexpr (kFaulted) {
-          if (kind != 0 && measuring &&
-              inject_cycle >= core_.config().warmup_cycles) {
-            if (kind == kInGroup) ++res.path_reroutes;
-            if (kind == kDetour) ++res.packets_rerouted;
-            if (log != nullptr) [[unlikely]] {
-              trace_reroute(*log, s, cycle, inject_cycle, src, dest,
-                            advance_phase(s));
+          [[maybe_unused]] unsigned need_weight = 0;
+          if constexpr (kCredits) {
+            if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
+              need_weight = top_weight(req.set(port), req.words(),
+                                       [&](unsigned c) {
+                                         return front_weight(
+                                             queue_index(s, first + c));
+                                       });
             }
           }
-        }
-        if constexpr (kMultiPath) {
-          // The push made this port's FIFO fuller: the adaptive heads
-          // that lost it may now prefer a later member of their group.
-          if (path_policy_ == PathPolicy::kAdaptive) {
-            const std::uint64_t losers =
-                requesters & ~(std::uint64_t{1} << c);
-            for_each_member(&losers, 1, [&](unsigned slot) {
-              request_later(req, here, x, slot, port);
-            });
+          // One packed read gives the child cell and its input slot — and
+          // the record value r * child + slot IS the downstream port-slot
+          // index (the identity the packing was chosen for).
+          const std::uint32_t record = down[first + port];
+          const std::size_t target = queue_index(s + 1, record);
+          bool stalled = false;
+          const unsigned c = scan_round_robin(
+              req.set(port), req.words(), arb_start(s, first + port),
+              [&](unsigned c) {
+                if constexpr (kCredits) {
+                  if (credit_config_->arbitration ==
+                          ArbitrationPolicy::kPriority &&
+                      front_weight(queue_index(s, first + c)) != need_weight) {
+                    return false;
+                  }
+                  // Credit handshake in place of the occupancy probe. Every
+                  // candidate at this output port sends into the same
+                  // downstream FIFO, so zero credits stalls the port
+                  // outright (conservation guarantees credits <= free
+                  // slots; the push can never overflow).
+                  if (!credits_->available(target)) {
+                    ++credit_stalls;
+                    if (log != nullptr) [[unlikely]] {
+                      mark_stall(first + c, obs::StallCause::kZeroCredits);
+                      if (measuring) ++log->credit[static_cast<std::size_t>(s)];
+                    }
+                    stalled = true;
+                  }
+                } else {
+                  if (queues_.full(target)) {
+                    if (log != nullptr) [[unlikely]] {
+                      mark_stall(first + c, obs::StallCause::kDownstreamFull);
+                    }
+                    return false;
+                  }
+                }
+                return true;
+              });
+          [[maybe_unused]] const std::uint64_t requesters = req.set(port)[0];
+          req.clear_set(port);
+          if (c == kNoCandidate || stalled) continue;
+          const std::size_t q = queue_index(s, first + c);
+          const std::uint32_t dest = queues_.front_dest(q);
+          const std::uint64_t inject_cycle = queues_.front_inject(q);
+          const std::uint32_t src = queues_.front_src(q);
+          const unsigned tag = queues_.front_tag(q);
+          [[maybe_unused]] const unsigned kind =
+              head_route(here, x, c, q) >> kKindShift;
+          [[maybe_unused]] unsigned vl = 0;
+          bool head;  // the packet is the target queue's new head
+          if constexpr (kCredits) {
+            vl = credit_config_->vl_of_sl(queues_.front_sl(q));
+            head = shard_push<kShard>(target, dest, src, inject_cycle,
+                                      cycle + length_,
+                                      route(next, record, dest, inject_cycle),
+                                      queues_.front_sl(q), tag, wk);
+            credits_->consume(target);
+            shard_pop<kShard>(q, wk);
+            credits_->give_back(q, cycle, return_list<kShard>(wk));
+          } else {
+            head = shard_push<kShard>(target, dest, src, inject_cycle,
+                                      cycle + length_,
+                                      route(next, record, dest, inject_cycle),
+                                      0, tag, wk);
+            shard_pop<kShard>(q, wk);
+          }
+          req.moved(c);
+          awake_next = true;
+          link_busy_until_[link] = cycle + length_;
+          busy.grant();
+          arb_grant(s, first + port, c, vl);
+          // The link frees when the packet is through, the cell feeding
+          // the popped FIFO sees room now, and the child sees its new head
+          // once it has fully arrived.
+          wake.wake_due(x);
+          wake.wake_parent(first + c);
+          if (head) {
+            wake.wake_child_due(set_cell(s + 1, record));
+          }
+          if (log != nullptr) [[unlikely]] {
+            if (measuring) log->hops[static_cast<std::size_t>(s)] += length_;
+            trace_stage_cross(*log, s, cycle, inject_cycle, src, dest);
+          }
+          if constexpr (kFaulted) {
+            if (kind != 0 && measuring &&
+                inject_cycle >= core_.config().warmup_cycles) {
+              if (kind == kInGroup) ++res.path_reroutes;
+              if (kind == kDetour) ++res.packets_rerouted;
+              if (log != nullptr) [[unlikely]] {
+                trace_reroute(*log, s, cycle, inject_cycle, src, dest,
+                              advance_phase(s));
+              }
+            }
+          }
+          if constexpr (kMultiPath) {
+            // The push made this port's FIFO fuller: the adaptive heads
+            // that lost it may now prefer a later member of their group.
+            if (path_policy_ == PathPolicy::kAdaptive) {
+              const std::uint64_t losers =
+                  requesters & ~(std::uint64_t{1} << c);
+              for_each_member(&losers, 1, [&](unsigned slot) {
+                request_later(req, here, x, slot, port);
+              });
+            }
+          }
+          // The FIFO's next packet may leave through a later port, or wake
+          // the cell when it has fully arrived.
+          const std::uint64_t ready = queues_.head_ready(q);
+          if (ready <= cycle) {
+            request_later(req, here, x, c, port);
+          } else if (ready != PacketRing::kNoHead) {
+            wakes_->template wake_at<kShard>(s, x, ready);
           }
         }
-        // The FIFO's next packet may leave through a later port.
-        if (!queues_.empty(q) && queues_.front_arrival(q) <= cycle) {
-          request_later(req, here, x, c, port);
+        const CellTally share = cell_tally(
+            account_cell(req, measuring, log,
+                         [&](unsigned c) {
+                           const std::size_t i = first + c;
+                           const std::size_t q = queue_index(s, i);
+                           if constexpr (kFaulted) {
+                             // A head routed around a masked arc (unipath:
+                             // its scheduled arc; multipath: its whole path
+                             // group) stalls on a fault symptom, not plain
+                             // congestion.
+                             if (stall_cause_[i] == 0 &&
+                                 head_route(here, x, c, q) >> kKindShift ==
+                                     kDetour) {
+                               mark_stall(i, obs::StallCause::kMaskedArc);
+                             }
+                           }
+                           attribute_stall(s, cycle, i, q, res, *log,
+                                           stall_phase(s));
+                         }),
+            credit_stalls);
+        if (awake_next) {
+          awake.add(share);
+        } else {
+          wake.sleep(x);
+          frozen.freeze(wake.tally[x], share);
         }
       }
-      account_cell(req, measuring, res, log, [&](unsigned c) {
-        const std::size_t i = first + c;
-        const std::size_t q = queue_index(s, i);
-        if constexpr (kFaulted) {
-          // A head routed around a masked arc (unipath: its scheduled
-          // arc; multipath: its whole path group) stalls on a fault
-          // symptom, not plain congestion.
-          if (stall_cause_[i] == 0 &&
-              head_route(here, x, c, q) >> kKindShift == kDetour) {
-            mark_stall(i, obs::StallCause::kMaskedArc);
-          }
-        }
-        attribute_stall(s, cycle, i, q, res, *log, stall_phase(s));
-      });
     }
+    close_pass(sum, frozen, awake, measuring, res);
   }
 
   /// Re-request input \p slot of cell \p x for its head's port if that
@@ -893,8 +996,8 @@ class StoreAndForwardPolicy
     if (port > served) req.request(port, slot);
   }
 
-  /// The sample kernel: worker \p w of \p n audits its share of the
-  /// link-pacing array and (credit runs) the per-link conservation
+  /// The sample kernel: worker \p w of \p n adds the links its cells
+  /// keep busy (BusyLinks) and audits (credit runs) the per-link conservation
   /// invariant — per FIFO, credits held + credit messages in flight +
   /// packets buffered must equal the capacity exactly, and credits may
   /// never exceed it. Violations are counted, not thrown — a sweep
@@ -905,15 +1008,10 @@ class StoreAndForwardPolicy
   void sample_impl(std::uint64_t cycle, std::size_t w, std::size_t n,
                    [[maybe_unused]] ShardWorker* wk) {
     [[maybe_unused]] SimResult& res = shard_result<kShard>(core_, wk);
-    const auto [l0, l1] = shard_range(link_busy_until_.size(), w, n);
-    std::uint64_t busy = 0;
-    for (std::size_t i = l0; i < l1; ++i) {
-      if (link_busy_until_[i] > cycle) ++busy;
-    }
     if constexpr (kShard) {
-      wk->link_counter += busy;
+      wk->link_counter += wk->busy_links.busy();
     } else {
-      link_counter_ += busy;
+      link_counter_ += busy_links_.busy();
       core_.result.lane_occupancy.add(
           static_cast<double>(queues_.total_packets()) / total_packet_slots_);
     }
@@ -971,15 +1069,29 @@ class StoreAndForwardPolicy
     }
   }
   template <bool kShard>
-  void shard_push(std::size_t q, std::uint32_t dest, std::uint32_t src,
+  bool shard_push(std::size_t q, std::uint32_t dest, std::uint32_t src,
                   std::uint64_t inject_cycle, std::uint64_t arrival,
                   unsigned routed, unsigned sl, unsigned tag,
                   [[maybe_unused]] ShardWorker* wk) {
     if constexpr (kShard) {
-      queues_.push_unc(q, dest, src, inject_cycle, arrival, routed, sl, tag);
       ++wk->pool_delta;
+      return queues_.push_unc(q, dest, src, inject_cycle, arrival, routed, sl,
+                              tag);
     } else {
-      queues_.push(q, dest, src, inject_cycle, arrival, routed, sl, tag);
+      return queues_.push(q, dest, src, inject_cycle, arrival, routed, sl,
+                          tag);
+    }
+  }
+
+  /// The busy-link window of the kernel's cells: the policy's own when
+  /// serial, the worker's when sharded (shaped on its first cycle).
+  template <bool kShard>
+  BusyLinks& busy_links([[maybe_unused]] ShardWorker* wk) {
+    if constexpr (kShard) {
+      if (!wk->busy_links.shaped()) wk->busy_links.reset(length_);
+      return wk->busy_links;
+    } else {
+      return busy_links_;
     }
   }
 
@@ -991,6 +1103,7 @@ class StoreAndForwardPolicy
     obs::WorkerLog* const log = kernel_log<false>(obs_, nullptr);
     const unsigned r = radix_;
     const StageRouting first = stage_routing(0);
+    const auto first_stage = wakes_->template pass<false>(0, cycle);
     for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
       if (!core_.attempt(cycle, static_cast<std::uint32_t>(t))) continue;
       if (source_busy_until_[t] > cycle) continue;  // still serializing
@@ -1030,8 +1143,11 @@ class StoreAndForwardPolicy
       }
       if (!accepted) continue;  // dropped at source
       const auto src = static_cast<std::uint32_t>(t);
-      queues_.push(queue_index(0, port), dest, src, cycle, cycle + length_,
-                   route(first, port, dest, cycle), 0, packet.tag);
+      if (queues_.push(queue_index(0, port), dest, src, cycle,
+                       cycle + length_, route(first, port, dest, cycle), 0,
+                       packet.tag)) {
+        first_stage.wake_due(set_cell(0, port));
+      }
       core_.commit(cycle, static_cast<std::uint32_t>(t), packet);
       source_busy_until_[t] = cycle + length_;
       if (measuring) {
@@ -1163,7 +1279,7 @@ class StoreAndForwardPolicy
       if (x < x0 || x >= x1) continue;
       for (unsigned slot = 0; slot < r; ++slot) {
         const std::size_t q = queue_index(s, x * r + slot);
-        while (!queues_.empty(q) && queues_.front_arrival(q) <= cycle) {
+        while (queues_.head_ready(q) <= cycle) {
           const std::uint64_t inject_cycle = queues_.front_inject(q);
           if (log != nullptr) [[unlikely]] {
             const std::uint32_t src = queues_.front_src(q);
@@ -1181,9 +1297,15 @@ class StoreAndForwardPolicy
             }
           }
           shard_pop<kShard>(q, wk);
+          // Every pop wakes the sender. (Here the sender's own grant and
+          // link-expiry wakes already cover it: the drain runs at the
+          // cycle the packet's link frees.)
+          wakes_->template wake_parent<kShard>(s, x * r + slot);
           // A drained slot returns its credit like any other pop, so
           // the ledger closes exactly even across dead switches.
-          if constexpr (kCredits) credits_->give_back(q, cycle);
+          if constexpr (kCredits) {
+            credits_->give_back(q, cycle, return_list<kShard>(wk));
+          }
           if (measuring && inject_cycle >= core_.config().warmup_cycles) {
             ++res.packets_dropped_faulted;
             res.flits_dropped_faulted += length_;
@@ -1197,6 +1319,7 @@ class StoreAndForwardPolicy
   std::vector<std::uint64_t> link_busy_until_;
   std::vector<std::uint64_t> source_busy_until_;
   std::vector<std::uint64_t> eject_busy_until_;
+  BusyLinks busy_links_;  ///< serial runs' link-business window
   double total_packet_slots_;
   std::vector<std::vector<std::uint32_t>> dead_cells_;  // kFaulted only
 };
@@ -1213,7 +1336,8 @@ SimResult Engine::run(Pattern pattern, const SimConfig& config,
   return dispatch_policy<StoreAndForwardPolicy>(
       *this, pattern, config, mask, workspace,
       DisciplineShape{"Engine::run", 1,
-                      static_cast<double>(config.queue_capacity)});
+                      static_cast<double>(config.queue_capacity),
+                      PacketRing::kSlotBytes, "store-and-forward queue pool"});
 }
 
 

@@ -31,19 +31,21 @@ void WeightedRoundRobin::grant(std::size_t a, unsigned winner,
 }
 
 void CreditLedger::reset(std::size_t links, std::uint32_t capacity,
-                         std::uint64_t latency) {
+                         std::uint64_t latency, std::size_t lists) {
   if (capacity == 0) {
     throw std::invalid_argument("CreditLedger: capacity must be positive");
   }
   capacity_ = capacity;
   latency_ = latency;
-  links_ = links;
+  lists_ = lists;
   credits_.assign(links, capacity);
   pending_.assign(links, 0);
-  ring_.assign(links * static_cast<std::size_t>(latency), 0);
+  arrivals_.resize(lists * static_cast<std::size_t>(latency));
+  for (std::vector<std::uint32_t>& due : arrivals_) due.clear();
 }
 
-void CreditLedger::give_back(std::size_t link, std::uint64_t cycle) {
+void CreditLedger::give_back(std::size_t link, std::uint64_t cycle,
+                             std::size_t list) {
   if (credits_[link] + pending_[link] >= capacity_) {
     throw std::logic_error("CreditLedger: credit return exceeds capacity");
   }
@@ -55,40 +57,18 @@ void CreditLedger::give_back(std::size_t link, std::uint64_t cycle) {
   // == cycle % latency — the slot deliver() just harvested this cycle,
   // so the ring never collides with itself.
   ++pending_[link];
-  ++ring_[(cycle % latency_) * links_ + link];
+  arrivals_[slot(cycle, list)].push_back(static_cast<std::uint32_t>(link));
 }
 
 void CreditLedger::deliver(std::uint64_t cycle) {
-  deliver_range(cycle, 0, links_);
-}
-
-void CreditLedger::deliver_range(std::uint64_t cycle, std::size_t lo,
-                                 std::size_t hi) {
-  if (latency_ == 0) return;
-  const std::size_t row = (cycle % latency_) * links_;
-  for (std::size_t link = lo; link < hi; ++link) {
-    const std::uint32_t arrived = ring_[row + link];
-    if (arrived == 0) continue;
-    credits_[link] += arrived;
-    pending_[link] -= arrived;
-    ring_[row + link] = 0;
+  for (std::size_t list = 0; list < lists_; ++list) {
+    deliver(cycle, list, [](std::size_t) {});
   }
 }
 
 PacketRing::PacketRing(std::size_t queues, std::size_t capacity)
-    : capacity_(capacity),
-      head_(queues, 0),
-      count_(queues, 0),
-      dest_(queues * capacity, 0),
-      src_(queues * capacity, 0),
-      inject_(queues * capacity, 0),
-      arrival_(queues * capacity, 0),
-      sl_(queues * capacity, 0),
-      tag_(queues * capacity, 0),
-      route_(queues * capacity, 0) {
-  if (capacity == 0) {
-    throw std::invalid_argument("PacketRing: capacity must be positive");
-  }
+    : capacity_(capacity) {
+  reset(queues, capacity);
 }
 
 void PacketRing::reset(std::size_t queues, std::size_t capacity) {
@@ -98,6 +78,8 @@ void PacketRing::reset(std::size_t queues, std::size_t capacity) {
   capacity_ = capacity;
   head_.assign(queues, 0);
   count_.assign(queues, 0);
+  head_ready_.assign(queues, kNoHead);
+  head_route_.assign(queues, 0);
   dest_.assign(queues * capacity, 0);
   src_.assign(queues * capacity, 0);
   inject_.assign(queues * capacity, 0);
@@ -108,7 +90,7 @@ void PacketRing::reset(std::size_t queues, std::size_t capacity) {
   total_ = 0;
 }
 
-void PacketRing::push_unc(std::size_t q, std::uint32_t dest, std::uint32_t src,
+bool PacketRing::push_unc(std::size_t q, std::uint32_t dest, std::uint32_t src,
                           std::uint64_t inject_cycle,
                           std::uint64_t arrival_complete, unsigned route,
                           unsigned sl, unsigned tag) {
@@ -123,15 +105,20 @@ void PacketRing::push_unc(std::size_t q, std::uint32_t dest, std::uint32_t src,
   sl_[at] = static_cast<std::uint8_t>(sl);
   tag_[at] = static_cast<std::uint8_t>(tag);
   route_[at] = static_cast<std::uint8_t>(route);
-  ++count_[q];
+  if (count_[q]++ != 0) return false;
+  head_ready_[q] = arrival_complete;
+  head_route_[q] = static_cast<std::uint8_t>(route);
+  return true;
 }
 
-void PacketRing::push(std::size_t q, std::uint32_t dest, std::uint32_t src,
+bool PacketRing::push(std::size_t q, std::uint32_t dest, std::uint32_t src,
                       std::uint64_t inject_cycle,
                       std::uint64_t arrival_complete, unsigned route,
                       unsigned sl, unsigned tag) {
-  push_unc(q, dest, src, inject_cycle, arrival_complete, route, sl, tag);
+  const bool head = push_unc(q, dest, src, inject_cycle, arrival_complete,
+                             route, sl, tag);
   ++total_;
+  return head;
 }
 
 void PacketRing::pop_unc(std::size_t q) {
@@ -139,7 +126,12 @@ void PacketRing::pop_unc(std::size_t q) {
     throw std::logic_error("PacketRing: pop from an empty queue");
   }
   head_[q] = static_cast<std::uint32_t>(wrap(head_[q] + std::size_t{1}));
-  --count_[q];
+  if (--count_[q] == 0) {
+    head_ready_[q] = kNoHead;
+    return;
+  }
+  head_ready_[q] = arrival_[front_slot(q)];
+  head_route_[q] = route_[front_slot(q)];
 }
 
 void PacketRing::pop(std::size_t q) {
@@ -242,6 +234,33 @@ int LanePool::find_idle_lane(std::size_t first,
     if (busy_[first + i] == 0) return static_cast<int>(i);
   }
   return -1;
+}
+
+void ActivitySets::reset(const min::FlatWiring& wiring,
+                         std::uint32_t eject_cells, std::uint64_t horizon,
+                         bool visit_all) {
+  stages_ = wiring.stages();
+  cells_ = wiring.cells_per_stage();
+  eject_cells_ = eject_cells;
+  const auto radix = static_cast<std::size_t>(wiring.radix());
+  ports_ = radix * cells_;
+  words_ = (static_cast<std::size_t>(cells_) + 63) / 64;
+  visit_all_ = visit_all;
+  const auto sets = static_cast<std::size_t>(stages_);
+  pending_.assign(sets * words_, 0);
+  const std::uint64_t slots = horizon == 0 ? 0 : std::bit_ceil(horizon + 1);
+  horizon_ = horizon;
+  slot_mask_ = slots == 0 ? 0 : slots - 1;
+  wheel_.assign(static_cast<std::size_t>(slots) * pending_.size(), 0);
+  tally_.assign(sets * cells_, 0);
+  parent_.assign(sets * ports_, 0);
+  for (int s = 1; s < stages_; ++s) {
+    const auto down = wiring.down_stage(s - 1);
+    std::uint32_t* parent = &parent_[static_cast<std::size_t>(s) * ports_];
+    for (std::size_t i = 0; i < ports_; ++i) {
+      parent[down[i]] = static_cast<std::uint32_t>(i / radix);
+    }
+  }
 }
 
 FabricCore::FabricCore(const Engine& engine, Pattern pattern,

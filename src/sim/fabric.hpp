@@ -20,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -244,12 +245,19 @@ class CellRequests {
 /// the phase order makes byte-identical to direct occupancy probes).
 /// Conservation holds cycle for cycle:
 ///   credits(l) + in_flight(l) + occupancy(l) == capacity.
+///
+/// In-flight credits wait in per-slot arrival lists, so a harvest touches
+/// only the links whose credits land. There is one set of lists per
+/// returner: a sharded run gives each worker its own (a link is always
+/// popped by the worker owning its cell, so each worker harvests and
+/// refills only its own lists and no harvest needs a team barrier).
 class CreditLedger {
  public:
   /// Re-shape to \p links counters of \p capacity credits each with
-  /// \p latency-cycle returns, retaining allocations when large enough.
+  /// \p latency-cycle returns through \p lists returner lists, retaining
+  /// allocations when large enough.
   void reset(std::size_t links, std::uint32_t capacity,
-             std::uint64_t latency);
+             std::uint64_t latency, std::size_t lists = 1);
 
   [[nodiscard]] std::uint32_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] bool available(std::size_t link) const noexcept {
@@ -266,36 +274,62 @@ class CreditLedger {
   /// Spend one credit of \p link; it must be available().
   void consume(std::size_t link) noexcept { --credits_[link]; }
 
-  /// Schedule one credit of \p link back to its sender, arriving at
-  /// cycle + latency (immediately for latency 0).
-  void give_back(std::size_t link, std::uint64_t cycle);
+  /// Schedule one credit of \p link back to its sender through returner
+  /// list \p list, arriving at cycle + latency (immediately for latency
+  /// 0).
+  void give_back(std::size_t link, std::uint64_t cycle, std::size_t list = 0);
 
-  /// Start-of-cycle harvest: every credit scheduled to arrive at
-  /// \p cycle lands. Call once per cycle, before any give_back of that
-  /// cycle (the policies call it at the top of eject, the first phase).
+  /// Start-of-cycle harvest of returner list \p list: every credit it
+  /// scheduled to arrive at \p cycle lands, and \p landed(link) runs once
+  /// per landed credit. Call once per cycle and list, before the list's
+  /// first give_back of that cycle (the policies harvest at the top of
+  /// eject, the first phase).
+  template <class Landed>
+  void deliver(std::uint64_t cycle, std::size_t list, Landed&& landed) {
+    if (latency_ == 0) return;
+    std::vector<std::uint32_t>& due = arrivals_[slot(cycle, list)];
+    for (const std::uint32_t link : due) {
+      ++credits_[link];
+      --pending_[link];
+      landed(link);
+    }
+    due.clear();
+  }
+
+  /// deliver() over every returner list.
   void deliver(std::uint64_t cycle);
 
-  /// deliver() restricted to links [\p lo, \p hi) — the sharded driver's
-  /// harvest phase, partitioned into disjoint ranges across the worker
-  /// team (per-link state is independent, so a range partition is exact).
-  void deliver_range(std::uint64_t cycle, std::size_t lo, std::size_t hi);
-
  private:
+  [[nodiscard]] std::size_t slot(std::uint64_t cycle,
+                                 std::size_t list) const noexcept {
+    return list * latency_ + cycle % latency_;
+  }
+
   std::uint32_t capacity_ = 0;
   std::uint64_t latency_ = 0;
-  std::size_t links_ = 0;
+  std::size_t lists_ = 1;
   std::vector<std::uint32_t> credits_;
   std::vector<std::uint32_t> pending_;  ///< per-link in-flight total
-  /// Slot-major in-flight ring, slot = arrival cycle % latency:
-  /// ring_[slot * links + link] credits land together.
-  std::vector<std::uint32_t> ring_;
+  /// arrivals_[list * latency + arrival cycle % latency]: one entry per
+  /// in-flight credit of that returner landing at that slot.
+  std::vector<std::vector<std::uint32_t>> arrivals_;
 };
 
 /// Every store-and-forward input FIFO of the fabric as one
 /// struct-of-arrays ring pool: queue q occupies slots [q * capacity,
-/// (q+1) * capacity) of three parallel field arrays.
+/// (q+1) * capacity) of parallel field arrays. The head of every queue
+/// is also kept densely, one record per queue (head_ready, head_route),
+/// so a cell pass reads its radix queues' heads from contiguous entries
+/// instead of gathering them at stride capacity.
 class PacketRing {
  public:
+  /// head_ready() of an empty queue: later than any cycle.
+  static constexpr std::uint64_t kNoHead = ~std::uint64_t{0};
+  /// Bytes of one packet slot across the per-slot field arrays.
+  static constexpr std::size_t kSlotBytes = 2 * sizeof(std::uint32_t) +
+                                            2 * sizeof(std::uint64_t) +
+                                            3 * sizeof(std::uint8_t);
+
   PacketRing(std::size_t queues, std::size_t capacity);
 
   /// Re-shape to (queues, capacity) and clear every queue, retaining the
@@ -321,9 +355,21 @@ class PacketRing {
   /// its service level (0 outside credit-mode runs), \p src its source
   /// terminal (carried for flow attribution and packet tracing), \p tag
   /// its workload tag (request/reply; 0 outside closed-loop runs).
-  void push(std::size_t q, std::uint32_t dest, std::uint32_t src,
+  /// Returns true when the packet became the queue's head (the queue was
+  /// empty).
+  bool push(std::size_t q, std::uint32_t dest, std::uint32_t src,
             std::uint64_t inject_cycle, std::uint64_t arrival_complete,
             unsigned route, unsigned sl = 0, unsigned tag = 0);
+
+  /// The cycle the head-of-line packet has fully arrived (may advance
+  /// from then on), kNoHead when the queue is empty.
+  [[nodiscard]] std::uint64_t head_ready(std::size_t q) const noexcept {
+    return head_ready_[q];
+  }
+  /// The head-of-line packet's route byte; the queue must not be empty.
+  [[nodiscard]] unsigned head_route(std::size_t q) const noexcept {
+    return head_route_[q];
+  }
 
   /// Head-of-line packet fields; the queue must not be empty.
   [[nodiscard]] std::uint32_t front_dest(std::size_t q) const {
@@ -335,17 +381,11 @@ class PacketRing {
   [[nodiscard]] std::uint64_t front_inject(std::size_t q) const {
     return inject_[front_slot(q)];
   }
-  [[nodiscard]] std::uint64_t front_arrival(std::size_t q) const {
-    return arrival_[front_slot(q)];
-  }
   [[nodiscard]] unsigned front_sl(std::size_t q) const {
     return sl_[front_slot(q)];
   }
   [[nodiscard]] unsigned front_tag(std::size_t q) const {
     return tag_[front_slot(q)];
-  }
-  [[nodiscard]] unsigned front_route(std::size_t q) const {
-    return route_[front_slot(q)];
   }
 
   /// Drop the head-of-line packet; the queue must not be empty.
@@ -356,7 +396,7 @@ class PacketRing {
   /// mutate disjoint queue ranges concurrently, so the shared counter
   /// would be a data race — each worker tracks its +-delta locally and
   /// the driver reconciles. Queue state is identical to push()/pop().
-  void push_unc(std::size_t q, std::uint32_t dest, std::uint32_t src,
+  bool push_unc(std::size_t q, std::uint32_t dest, std::uint32_t src,
                 std::uint64_t inject_cycle, std::uint64_t arrival_complete,
                 unsigned route, unsigned sl = 0, unsigned tag = 0);
   void pop_unc(std::size_t q);
@@ -378,6 +418,8 @@ class PacketRing {
   std::size_t capacity_;
   std::vector<std::uint32_t> head_;
   std::vector<std::uint32_t> count_;
+  std::vector<std::uint64_t> head_ready_;
+  std::vector<std::uint8_t> head_route_;
   std::vector<std::uint32_t> dest_;
   std::vector<std::uint32_t> src_;
   std::vector<std::uint64_t> inject_;
@@ -486,6 +528,255 @@ class LanePool {
   std::size_t occupied_ = 0;
 };
 
+/// One cell's share of a stage's per-cycle stall counters, packed in one
+/// word: the ready heads its pass could not move (hol_blocking_cycles)
+/// in the low half, its zero-credit refusals (credit_stall_cycles) in
+/// the high half. A pass counts each of a cell's buffers at most once in
+/// either half, and the pool budget keeps a stage below 2^32 buffers, so
+/// no sum of shares carries across halves.
+using CellTally = std::uint64_t;
+
+[[nodiscard]] inline CellTally cell_tally(std::uint64_t blocked,
+                                          std::uint64_t credit_stalls) {
+  return blocked | credit_stalls << 32;
+}
+
+/// A sum of CellTally shares over a cell range: the frozen cells' (a
+/// visited cell that granted nothing is frozen with its pass's share and
+/// repeats it every cycle until woken) or one pass's awake cells'.
+struct StallTally {
+  std::uint64_t packed = 0;
+
+  /// A frozen cell is visited again: its cached share leaves the sum.
+  void thaw(CellTally& cell) noexcept {
+    if (cell != 0) [[unlikely]] {
+      packed -= cell;
+      cell = 0;
+    }
+  }
+  /// Freeze a cell with its pass's \p share.
+  void freeze(CellTally& cell, CellTally share) noexcept {
+    cell = share;
+    packed += share;
+  }
+  void add(CellTally share) noexcept { packed += share; }
+
+  [[nodiscard]] std::uint64_t hol() const noexcept {
+    return packed & 0xFFFFFFFFU;
+  }
+  [[nodiscard]] std::uint64_t credit() const noexcept { return packed >> 32; }
+};
+
+/// Which switch cells the cycle kernels must visit. A cell's pass reads
+/// only its own buffers' heads, its arbiters, its links' serialization
+/// timers, the space, idle lanes or credits downstream of its out-ports
+/// and (adaptive) the occupancy behind them. A pass that grants nothing
+/// changes none of these, so until one of them changes the next pass
+/// would grant nothing again and block the same heads. The kernels
+/// therefore wake a cell only where such an input changes — at their
+/// push, pop, grant and credit-landing sites — and skip the rest, frozen
+/// with the stall counts of their last pass (CellTally).
+///
+/// There is one set per stage: set s < stages - 1 is advance stage s
+/// over physical cells, the last set is ejection over logical cells.
+/// A post reaches a set's next pass (this cycle when the set has not run
+/// yet, else the next) or, through a timer wheel, the pass of a later
+/// cycle (wake_at); take() hands a kernel one word of a set's cells to
+/// visit, and Pass bundles the posts one kernel pass makes. With visit_all
+/// (observed runs: stall causes and trace events are per cycle) every
+/// take() returns every cell. Sharded kernels post across ranges with a
+/// relaxed atomic OR; the shard ranges are word-aligned, so each word is
+/// walked by one worker.
+class ActivitySets {
+ public:
+  /// Re-shape for \p wiring with \p eject_cells logical cells in the
+  /// ejection set and wake_at() up to \p horizon cycles ahead (0: no
+  /// timers), every set empty and every tally 0.
+  void reset(const min::FlatWiring& wiring, std::uint32_t eject_cells,
+             std::uint64_t horizon, bool visit_all);
+
+  /// Post cell \p x to set \p s's pass at cycle \p at, which lies at
+  /// most the horizon ahead of the current cycle.
+  template <bool kAtomic>
+  void wake_at(int s, std::uint32_t x, std::uint64_t at) noexcept {
+    post<kAtomic>(&wheel_[(at & slot_mask_) * pending_.size() +
+                          static_cast<std::size_t>(s) * words_],
+                  x);
+  }
+
+  /// Post the stage-(s-1) cell whose out-arc feeds input port \p port of
+  /// stage \p s (none at stage 0: injection visits every terminal).
+  template <bool kAtomic>
+  void wake_parent(int s, std::size_t port) noexcept {
+    if (s > 0) {
+      post<kAtomic>(&pending_[static_cast<std::size_t>(s - 1) * words_],
+                    parent_[static_cast<std::size_t>(s) * ports_ + port]);
+    }
+  }
+
+  /// One set's wake targets and tallies for a kernel's pass, hoisted out
+  /// of its cell loop: the kernel's buffer stores could alias the
+  /// geometry fields, so every lookup through the sets would reload them.
+  template <bool kAtomic>
+  struct Pass {
+    std::uint64_t* self;            ///< this set's words
+    std::uint64_t* self_due;        ///< ... due at cycle + horizon
+    std::uint64_t* up;              ///< the previous set's (null at 0)
+    std::uint64_t* down;            ///< the next set's (null at the last)
+    std::uint64_t* down_due;        ///< ... due at cycle + horizon
+    const std::uint32_t* parent;    ///< this stage's input port -> up cell
+    CellTally* tally;               ///< this set's cells
+    bool visit_all;                 ///< every take() returns every cell
+
+    /// Post cell \p x of this set to its next pass.
+    void wake(std::uint32_t x) const noexcept { post<kAtomic>(self, x); }
+    /// Drop cell \p x, which the pass just visited, from the set's next
+    /// pass (take() leaves a word's cells posted; a visit that granted
+    /// nothing takes its cell out). During a set's pass only the owner
+    /// of a word writes it, so this needs no atomic.
+    void sleep(std::uint32_t x) const noexcept {
+      self[x / 64] &= ~(std::uint64_t{1} << (x & 63U));
+    }
+    /// Post cell \p x of this set to the pass at cycle + horizon.
+    void wake_due(std::uint32_t x) const noexcept {
+      post<kAtomic>(self_due, x);
+    }
+    /// Post the previous set's cell feeding input port \p port.
+    void wake_parent(std::size_t port) const noexcept {
+      if (up != nullptr) post<kAtomic>(up, parent[port]);
+    }
+    /// Post cell \p x of the next set to its next pass.
+    void wake_child(std::uint32_t x) const noexcept {
+      post<kAtomic>(down, x);
+    }
+    /// Post cell \p x of the next set to the pass at cycle + horizon.
+    void wake_child_due(std::uint32_t x) const noexcept {
+      post<kAtomic>(down_due, x);
+    }
+  };
+
+  /// Set \p s's Pass for a kernel running at \p cycle.
+  template <bool kAtomic>
+  [[nodiscard]] Pass<kAtomic> pass(int s, std::uint64_t cycle) noexcept {
+    const auto set = static_cast<std::size_t>(s);
+    std::uint64_t* const due =
+        wheel_.empty() ? nullptr
+                       : &wheel_[((cycle + horizon_) & slot_mask_) *
+                                 pending_.size()];
+    const bool last = s + 1 == stages_;
+    return {&pending_[set * words_],
+            due == nullptr ? nullptr : due + set * words_,
+            s == 0 ? nullptr : &pending_[(set - 1) * words_],
+            last ? nullptr : &pending_[(set + 1) * words_],
+            due == nullptr || last ? nullptr : due + (set + 1) * words_,
+            &parent_[set * ports_],
+            &tally_[set * cells_],
+            visit_all_};
+  }
+
+  /// Word \p w (cells 64w .. 64w + 63) of set \p s for \p cycle's pass:
+  /// the posted cells and the timers due now, or every cell under
+  /// visit_all. A kernel walks its range's words in order and each
+  /// word's bits with ctz, so it visits cells in ascending order. The
+  /// cells stay posted for the set's next pass until their visit calls
+  /// Pass::sleep — a cell that granted is visited again next cycle.
+  [[nodiscard]] std::uint64_t take(int s, std::size_t w,
+                                   std::uint64_t cycle) noexcept {
+    std::uint64_t& word = pending_[static_cast<std::size_t>(s) * words_ + w];
+    std::uint64_t bits = word;
+    if (!wheel_.empty()) {
+      std::uint64_t& due =
+          wheel_[(cycle & slot_mask_) * pending_.size() +
+                 static_cast<std::size_t>(s) * words_ + w];
+      bits |= due;
+      word = bits;
+      due = 0;
+    }
+    if (visit_all_) [[unlikely]] {
+      const std::uint32_t cells =
+          s + 1 == stages_ ? eject_cells_ : cells_;
+      const std::size_t below = cells - std::min<std::size_t>(cells, w * 64);
+      bits = below >= 64 ? ~std::uint64_t{0}
+                         : (std::uint64_t{1} << below) - 1;
+    }
+    return bits;
+  }
+
+ private:
+  /// Post cell \p x to the set whose words start at \p words.
+  template <bool kAtomic>
+  static void post(std::uint64_t* words, std::uint32_t x) noexcept {
+    std::uint64_t& word = words[x / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (x & 63U);
+    if constexpr (kAtomic) {
+      // Most posts find the cell posted already; skip the read-modify-
+      // write then, and with it the cache-line transfer between workers.
+      // A bit is cleared only by its word's owner, during the set's own
+      // pass, when no other worker posts to the set.
+      std::atomic_ref<std::uint64_t> shared(word);
+      if ((shared.load(std::memory_order_relaxed) & bit) == 0) {
+        shared.fetch_or(bit, std::memory_order_relaxed);
+      }
+    } else {
+      word |= bit;
+    }
+  }
+
+  int stages_ = 0;
+  std::uint32_t cells_ = 0;
+  std::uint32_t eject_cells_ = 0;
+  std::size_t ports_ = 0;
+  std::size_t words_ = 0;  ///< per set
+  bool visit_all_ = false;
+  std::uint64_t horizon_ = 0;
+  std::uint64_t slot_mask_ = 0;
+  std::vector<std::uint64_t> pending_;  ///< [set][word]
+  /// [slot][set][word], slot = cycle & slot_mask_: a power-of-two ring
+  /// longer than the horizon, so a slot is never posted while it is due.
+  std::vector<std::uint64_t> wheel_;
+  std::vector<std::uint32_t> parent_;  ///< [stage][input port] -> cell
+  std::vector<CellTally> tally_;  ///< [set][cell]
+};
+
+/// Store-and-forward link business from a running count. A link granted
+/// at cycle g serializes through cycle g + L - 1, so the links busy at
+/// cycle t are exactly the grants of cycles (t - L, t]: a ring of
+/// per-cycle grant counts L deep replaces a scan over every link timer.
+class BusyLinks {
+ public:
+  void reset(std::uint64_t length) {
+    length_ = length;
+    ring_.assign(std::bit_ceil(length), 0);
+    now_ = 0;
+    busy_ = 0;
+  }
+  [[nodiscard]] bool shaped() const noexcept { return !ring_.empty(); }
+
+  /// Start cycle \p cycle: the grants of cycle - L stop serializing.
+  void advance(std::uint64_t cycle) noexcept {
+    const std::size_t mask = ring_.size() - 1;
+    if (cycle >= length_) {
+      std::uint32_t& done = ring_[(cycle - length_) & mask];
+      busy_ -= done;
+      done = 0;
+    }
+    now_ = cycle & mask;
+  }
+  /// One link starts serializing this cycle.
+  void grant() noexcept {
+    ++ring_[now_];
+    ++busy_;
+  }
+  /// Links serializing this cycle.
+  [[nodiscard]] std::uint64_t busy() const noexcept { return busy_; }
+
+ private:
+  std::uint64_t length_ = 1;
+  std::vector<std::uint32_t> ring_;
+  std::size_t now_ = 0;
+  std::uint64_t busy_ = 0;
+};
+
 /// Reusable cross-run allocation arena for the payload pools. A sweep
 /// worker owns one workspace and passes it to every Engine::run it
 /// executes, so million-packet grids re-shape (and usually just clear)
@@ -512,15 +803,26 @@ class SimWorkspace {
   /// latency). Like the pools, fully re-initialized per run.
   [[nodiscard]] CreditLedger& credit_ledger(std::size_t links,
                                             std::uint32_t capacity,
-                                            std::uint64_t latency) {
-    ledger_.reset(links, capacity, latency);
+                                            std::uint64_t latency,
+                                            std::size_t lists) {
+    ledger_.reset(links, capacity, latency, lists);
     return ledger_;
+  }
+
+  /// The cycle kernels' wake sets, reset like ActivitySets::reset.
+  [[nodiscard]] ActivitySets& activity_sets(const min::FlatWiring& wiring,
+                                            std::uint32_t eject_cells,
+                                            std::uint64_t horizon,
+                                            bool visit_all) {
+    activity_.reset(wiring, eject_cells, horizon, visit_all);
+    return activity_;
   }
 
  private:
   PacketRing ring_{0, 1};
   LanePool pool_{0, 1};
   CreditLedger ledger_;
+  ActivitySets activity_;
 };
 
 /// The per-run state shared by both switching policies: geometry, RNG

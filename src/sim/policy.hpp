@@ -31,6 +31,24 @@
 /// and count the ready buffers that did not move as head-of-line
 /// blocked. No candidate loop divides.
 ///
+/// Each kernel visits only the cells whose pass can differ from their
+/// last one (ActivitySets, fabric.hpp). The wake rules, one per input a
+/// pass reads, are applied at the kernels' push, pop and grant sites:
+///   - a pop from a buffer wakes the cell feeding it (wake_parent) this
+///     cycle — stage s + 1 runs before stage s, so ejection, advance and
+///     the dead-switch drains all count;
+///   - a grant wakes the granting cell for the next cycle, and so does a
+///     wormhole flit pushed into its lanes;
+///   - a store-and-forward packet that becomes a queue's head wakes the
+///     cell when it has fully arrived, and a link or ejection port that
+///     starts serializing wakes it when the packet is through (wake_at);
+///   - a landing credit wakes the cell feeding its buffer.
+/// A visited cell that grants nothing is frozen with its pass's stall
+/// counts (StallTally::freeze) and sleeps until woken; each set adds its
+/// frozen cells' sum to the stall counters once per measured cycle
+/// (close_pass), so a skipped cell still counts the heads it blocks.
+/// With an observer every cell is visited every cycle.
+///
 /// The bool axes are compile-time because each one measurably changes
 /// the hot loop: kFaulted adds mask probes, kBinary folds the radix to 2
 /// (shift/mask instead of divide), kCredits swaps the occupancy probe
@@ -99,6 +117,29 @@ template <bool kShard>
   }
 }
 
+/// The stall sum of set \p set over the kernel's range: the policy's own
+/// (\p serial) when serial, the worker's when sharded.
+template <bool kShard>
+[[nodiscard]] StallTally& stall_sum(std::vector<StallTally>& serial, int set,
+                                    [[maybe_unused]] ShardWorker* wk) {
+  if constexpr (kShard) {
+    return wk->stall_sums[static_cast<std::size_t>(set)];
+  } else {
+    return serial[static_cast<std::size_t>(set)];
+  }
+}
+
+/// The credit return list a kernel's pops go through: the worker's own
+/// when sharded.
+template <bool kShard>
+[[nodiscard]] std::size_t return_list([[maybe_unused]] const ShardWorker* wk) {
+  if constexpr (kShard) {
+    return wk->index;
+  } else {
+    return 0;
+  }
+}
+
 /// The WorkerLog a kernel writes, or null when observability is off:
 /// the worker's own sink on sharded runs (shard_eject re-binds it every
 /// cycle), log 0 serially. Kernels call this once at entry and test the
@@ -157,7 +198,7 @@ class PolicyBase {
   /// Eject at the last stage. Eject runs first each cycle, so the credit
   /// ledger's start-of-cycle harvest lives here.
   void eject(std::uint64_t cycle, bool measuring) {
-    if constexpr (kCredits) credits_->deliver(cycle);
+    if constexpr (kCredits) deliver_credits<false>(cycle, 0);
     self().template eject_impl<false>(cycle, measuring, 0, lcells_, nullptr);
   }
 
@@ -176,41 +217,33 @@ class PolicyBase {
 
   // --- The sharded-driver interface (run_switched_sharded) -------------
   // Every kernel runs the SAME code as its serial phase, templated on
-  // kShard = true: disjoint contiguous ranges, per-worker partial
+  // kShard = true: disjoint word-aligned ranges, per-worker partial
   // counters, and deferred order-sensitive statistics (see shard.hpp for
   // the phase/barrier schedule and the single-writer argument).
 
-  /// Credit runs harvest the return ring as a dedicated phase: give_back
-  /// writes the very slot deliver reads for the same cycle, so harvest
-  /// must finish fabric-wide before any kernel returns a credit.
-  static constexpr bool kShardNeedsDeliver = kCredits;
-
-  void shard_deliver(std::uint64_t cycle, std::size_t w, std::size_t n) {
-    if constexpr (kCredits) {
-      const auto [lo, hi] = shard_range(credit_links_, w, n);
-      credits_->deliver_range(cycle, lo, hi);
-    }
-  }
-
+  /// Worker \p w first harvests the credits its own pops returned (its
+  /// return list: no other worker reads or writes it, so the harvest
+  /// needs no phase of its own), then ejects its range.
   void shard_eject(std::uint64_t cycle, bool measuring, std::size_t w,
                    std::size_t n, ShardWorker& wk) {
     if (obs_ != nullptr) wk.obs_log = &obs_->log(w);
-    if (!wk.requests.shaped()) wk.requests = requests_;
+    if (!wk.requests.shaped()) {
+      wk.requests = requests_;
+      wk.stall_sums.assign(stall_sums_.size(), StallTally{});
+    }
+    if constexpr (kCredits) deliver_credits<true>(cycle, w);
     // Ejection arbitrates per LOGICAL terminal across planes, so the
     // partition is by logical cells; the physical buffers a logical range
     // touches are disjoint per-plane runs.
-    const auto [x0, x1] = shard_range(lcells_, w, n);
-    self().template eject_impl<true>(cycle, measuring,
-                                     static_cast<std::uint32_t>(x0),
-                                     static_cast<std::uint32_t>(x1), &wk);
+    const auto [x0, x1] = shard_cells(lcells_, w, n);
+    self().template eject_impl<true>(cycle, measuring, x0, x1, &wk);
   }
 
   void shard_advance(int s, std::uint64_t cycle, bool measuring,
                      std::size_t w, std::size_t n, ShardWorker& wk) {
-    const auto [x0, x1] = shard_range(core_.cells(), w, n);
-    self().template advance_stage_impl<true>(
-        s, cycle, measuring, static_cast<std::uint32_t>(x0),
-        static_cast<std::uint32_t>(x1), &wk);
+    const auto [x0, x1] = shard_cells(core_.cells(), w, n);
+    self().template advance_stage_impl<true>(s, cycle, measuring, x0, x1,
+                                             &wk);
   }
 
   /// Worker 0's exclusive phase: replay the cycle's deferred ejection
@@ -267,17 +300,20 @@ class PolicyBase {
   /// counter per downstream buffer), \p arb_candidates is the stage
   /// arbiters' candidate-ring size (input buffers per cell), \p
   /// stall_slots the StallCause scratch size (one per buffer the
-  /// arbitration can block).
+  /// arbitration can block), \p wake_horizon the farthest a kernel wakes
+  /// a cell ahead (ActivitySets::wake_at; 0 when it never does).
   PolicyBase(const PolicyContext& ctx,
              [[maybe_unused]] std::size_t credit_links,
              [[maybe_unused]] std::uint32_t credit_capacity,
-             unsigned arb_candidates, std::size_t stall_slots)
+             unsigned arb_candidates, std::size_t stall_slots,
+             std::uint64_t wake_horizon)
       : core_(ctx.core),
         radix_(static_cast<unsigned>(ctx.core.wiring().radix())),
         length_(ctx.core.config().packet_length),
         obs_(ctx.obs),
         lradix_(radix_),
-        lcells_(ctx.core.cells()) {
+        lcells_(ctx.core.cells()),
+        stall_sums_(static_cast<std::size_t>(ctx.core.stages())) {
     if constexpr (kMultiPath) {
       const Engine& engine = core_.engine();
       lradix_ = static_cast<unsigned>(engine.logical_radix());
@@ -305,8 +341,15 @@ class PolicyBase {
       credit_config_ = &core_.config().credits;
       service_levels_ = credit_config_->service_levels();
       credit_links_ = credit_links;
+      // One return list per worker a sharded run fields (the driver
+      // clamps the team to the cell count).
       credits_ = &ctx.workspace.credit_ledger(
-          credit_links, credit_capacity, credit_config_->return_latency);
+          credit_links, credit_capacity, credit_config_->return_latency,
+          std::min<std::size_t>(core_.config().sim_threads,
+                                std::max<std::uint32_t>(1, core_.cells())));
+      links_per_port_ = credit_links / (static_cast<std::size_t>(
+                                            core_.stages()) *
+                                        core_.ports());
       if (credit_config_->arbitration == ArbitrationPolicy::kWeighted) {
         weighted_.reset(
             static_cast<std::size_t>(core_.stages()) * core_.ports(),
@@ -318,6 +361,8 @@ class PolicyBase {
     // Multipath ejection arbitrates a logical terminal over every plane's
     // buffers, the widest candidate ring a cell pass builds.
     requests_.shape(radix_, planes_ * arb_candidates);
+    wakes_ = &ctx.workspace.activity_sets(core_.wiring(), lcells_,
+                                          wake_horizon, obs_ != nullptr);
   }
 
   [[nodiscard]] Derived& self() { return static_cast<Derived&>(*this); }
@@ -487,18 +532,59 @@ class PolicyBase {
   }
 
   /// Close one cell pass: every ready candidate that did not move was
-  /// head-of-line blocked. Measured cycles add them to
-  /// hol_blocking_cycles; with an observer, \p charge(c) attributes each
-  /// (ascending candidate order, so the stall counters partition the
-  /// count exactly). Leaves the ready set empty.
+  /// head-of-line blocked; returns their count for the cell's tally.
+  /// With an observer, measured cycles attribute each through \p
+  /// charge(c) (ascending candidate order, so the stall counters
+  /// partition hol_blocking_cycles exactly). Leaves the ready set empty.
   template <class Charge>
-  void account_cell(CellRequests& req, bool measuring, SimResult& res,
-                    obs::WorkerLog* log, Charge&& charge) {
-    if (measuring) {
-      res.hol_blocking_cycles += req.blocked();
-      if (log != nullptr) [[unlikely]] req.for_each_blocked(charge);
+  [[nodiscard]] std::uint64_t account_cell(CellRequests& req, bool measuring,
+                                           obs::WorkerLog* log,
+                                           Charge&& charge) {
+    const std::uint64_t blocked = req.blocked();
+    if (measuring && log != nullptr) [[unlikely]] {
+      req.for_each_blocked(charge);
     }
     req.clear_ready();
+    return blocked;
+  }
+
+  // --- Wake sets (ActivitySets) ----------------------------------------
+
+  /// End a set's pass over a range: store its frozen cells' updated sum
+  /// \p frozen into \p sum, and count this cycle's stalls — the frozen
+  /// cells repeat their last pass, and \p awake holds the shares of the
+  /// visited cells that granted.
+  static void close_pass(StallTally& sum, const StallTally& frozen,
+                         const StallTally& awake, bool measuring,
+                         SimResult& res) {
+    sum = frozen;
+    if (measuring) {
+      res.hol_blocking_cycles += frozen.hol() + awake.hol();
+      res.credit_stall_cycles += frozen.credit() + awake.credit();
+    }
+  }
+
+  /// The cell of set \p s that owns input port \p port of stage \p s:
+  /// the physical cell, or at the last stage of a multipath fabric the
+  /// logical cell ejection arbitrates.
+  [[nodiscard]] std::uint32_t set_cell(int s, std::size_t port) const {
+    const auto cell = static_cast<std::uint32_t>(port / radix());
+    if constexpr (kMultiPath) {
+      if (s + 1 == core_.stages()) return cell % lcells_;
+    }
+    return cell;
+  }
+
+  /// Harvest returner list \p list's credits landing at \p cycle; each
+  /// wakes the cell that sends into its buffer.
+  template <bool kShard>
+  void deliver_credits(std::uint64_t cycle, std::size_t list) {
+    credits_->deliver(cycle, list, [&](std::size_t link) {
+      const std::size_t port = link / links_per_port_;
+      const auto s = static_cast<int>(port / core_.ports());
+      wakes_->template wake_parent<kShard>(
+          s, port - static_cast<std::size_t>(s) * core_.ports());
+    });
   }
 
   // --- Stall attribution (observability runs only) ---------------------
@@ -689,6 +775,7 @@ class PolicyBase {
   WeightedRoundRobin weighted_;                      // kCredits only
   std::size_t service_levels_ = 1;                   // kCredits only
   std::size_t credit_links_ = 0;                     // kCredits only
+  std::size_t links_per_port_ = 1;                   // kCredits only
   /// Logical radix and cells per stage: the physical ones on a unipath
   /// fabric.
   unsigned lradix_;
@@ -704,6 +791,8 @@ class PolicyBase {
   /// buffers themselves. Empty when observability is off.
   std::vector<std::uint8_t> stall_cause_;
   CellRequests requests_;  ///< serial runs' cell-pass scratch
+  ActivitySets* wakes_ = nullptr;
+  std::vector<StallTally> stall_sums_;  ///< serial runs' per-set sums
 };
 
 /// Run one policy instantiation to completion: serial or sharded by
@@ -750,7 +839,17 @@ struct DisciplineShape {
   /// Buffer slots per port in the discipline's occupancy unit (packets
   /// or flits) — the observer's occupancy normalizer.
   double slots_per_port;
+  /// What one slot costs in the payload pool, and what the pool is
+  /// called in the budget message.
+  std::size_t slot_bytes;
+  const char* pool;
 };
+
+/// The payload pool budget: each field of the buffer geometry is bounded
+/// on its own (SimConfig::validate), but the pool allocates stages *
+/// ports * slots-per-port slots up front, and products of in-range fields
+/// reach terabytes.
+inline constexpr std::uint64_t kMaxPoolBytes = std::uint64_t{1} << 30;
 
 /// From a run configuration (validated here) to the one Policy
 /// instantiation that serves it: an absent or all-clear mask takes the
@@ -777,11 +876,31 @@ static SimResult dispatch_policy(const Engine& engine, Pattern pattern,
         ": fault mask geometry does not match this network");
   }
   if (!faulted) mask = nullptr;
-  SimWorkspace local;
-  SimWorkspace& ws = workspace != nullptr ? *workspace : local;
   const min::FlatWiring& wiring = engine.wiring();
   const std::size_t ports =
       static_cast<std::size_t>(wiring.radix()) * wiring.cells_per_stage();
+  // Budget the product in floating point: it may overflow 64 bits.
+  const double pool_bytes = static_cast<double>(wiring.stages()) *
+                            static_cast<double>(ports) *
+                            shape.slots_per_port *
+                            static_cast<double>(shape.slot_bytes);
+  if (pool_bytes > static_cast<double>(kMaxPoolBytes)) {
+    std::string message = shape.who;
+    message += ": ";
+    message += shape.pool;
+    message += " of stages (" + std::to_string(wiring.stages());
+    message += ") x ports (" + std::to_string(ports);
+    message += ") x slots per port (";
+    message +=
+        std::to_string(static_cast<std::uint64_t>(shape.slots_per_port));
+    message += ") x " + std::to_string(shape.slot_bytes);
+    message += " B exceeds the ";
+    message += std::to_string(kMaxPoolBytes >> 20);
+    message += " MiB budget; reduce the buffer geometry";
+    throw std::invalid_argument(message);
+  }
+  SimWorkspace local;
+  SimWorkspace& ws = workspace != nullptr ? *workspace : local;
   std::optional<obs::Observer> observer;
   if (config.obs.any()) {
     config.obs.validate(engine.terminals());

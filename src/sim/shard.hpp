@@ -8,11 +8,15 @@
 /// down_stage(s)[x * r + port] IS the downstream port-slot index, and
 /// each downstream buffer has exactly one upstream arc — makes every
 /// cross-range handoff single-writer: a worker pushes only into buffers
-/// reached through its own cells' arcs, so the hot path needs no locks,
-/// no atomics and no mailbox copies. The phase schedule per cycle:
+/// reached through its own cells' arcs, so the hot path needs no locks
+/// and no mailbox copies. The one cross-range write is a wake
+/// (ActivitySets): a relaxed atomic OR into a set that is read only after
+/// the barrier closing the phase. Cell ranges are word-aligned
+/// (shard_cells), so each word of a set is walked by one worker. The
+/// phase schedule per cycle:
 ///
-///   [credits] deliver     link ranges            barrier
 ///   eject                 cell ranges            barrier
+///     ([credits] each worker first harvests its own return lists)
 ///   advance s = S-2 .. 0  cell ranges            barrier each
 ///   serial phase          worker 0 only          barrier
 ///     (eject-event replay -> workload tick -> inject)
@@ -59,6 +63,8 @@ struct SafEjectEvent {
 /// Per-worker shard state, cache-line aligned so neighbouring workers'
 /// hot counters never false-share.
 struct alignas(64) ShardWorker {
+  /// This worker's index in the team (its credit return list).
+  std::size_t index = 0;
   /// Order-independent counters accumulated by this worker's kernels and
   /// summed into the core result at the end of the run. Only integer
   /// fields are ever touched here — the statistics accumulators inside
@@ -86,6 +92,10 @@ struct alignas(64) ShardWorker {
   /// This worker's per-cell arbitration scratch (shaped by the policy on
   /// the worker's first cycle).
   CellRequests requests;
+  /// Per-set stall sums of this worker's cell ranges (ActivitySets).
+  std::vector<StallTally> stall_sums;
+  /// Store-and-forward busy links granted by this worker's cells.
+  BusyLinks busy_links;
   /// This worker's observability sink, or null when no observer is
   /// attached: set by the policy's shard_eject each cycle, so the kernels
   /// never need the worker index threaded through — each kernel reads it
@@ -103,6 +113,15 @@ struct alignas(64) ShardWorker {
   return {total * w / n, total * (w + 1) / n};
 }
 
+/// shard_range over the 64-cell words of a \p cells-cell set, in cells:
+/// no two workers share a word of an ActivitySets set.
+[[nodiscard]] inline std::pair<std::uint32_t, std::uint32_t> shard_cells(
+    std::uint32_t cells, std::size_t w, std::size_t n) noexcept {
+  const auto [lo, hi] = shard_range((std::size_t{cells} + 63) / 64, w, n);
+  return {static_cast<std::uint32_t>(std::min<std::size_t>(lo * 64, cells)),
+          static_cast<std::uint32_t>(std::min<std::size_t>(hi * 64, cells))};
+}
+
 /// The per-thread team pool behind SimConfig::sim_threads. Thread-local
 /// so concurrent sweep workers shard their points over disjoint teams;
 /// the team threads are spawned on first sharded run and reused for
@@ -114,8 +133,6 @@ inline util::ThreadPool& sim_team_pool() {
 
 /// The sharded counterpart of run_switched. A Policy implements, in
 /// addition to its serial phases:
-///   static constexpr bool kShardNeedsDeliver;  // credit harvest phase?
-///   void shard_deliver(cycle, w, n);           // credit runs only
 ///   void shard_eject(cycle, measuring, w, n, ShardWorker&);
 ///   void shard_advance(s, cycle, measuring, w, n, ShardWorker&);
 ///   void shard_serial(cycle, measuring, workers);   // worker 0 only:
@@ -139,6 +156,7 @@ template <class Policy>
   if (threads <= 1) return run_switched(core, policy);
 
   std::vector<ShardWorker> workers(threads);
+  for (std::size_t w = 0; w < threads; ++w) workers[w].index = w;
   util::SpinBarrier barrier(threads);
   const std::uint64_t warmup = core.config().warmup_cycles;
   const std::uint64_t total = core.total_cycles();
@@ -146,10 +164,6 @@ template <class Policy>
     ShardWorker& wk = workers[w];
     for (std::uint64_t cycle = 0; cycle < total; ++cycle) {
       const bool measuring = cycle >= warmup;
-      if constexpr (Policy::kShardNeedsDeliver) {
-        policy.shard_deliver(cycle, w, n);
-        barrier.arrive_and_wait();
-      }
       policy.shard_eject(cycle, measuring, w, n, wk);
       barrier.arrive_and_wait();
       for (int s = core.stages() - 2; s >= 0; --s) {

@@ -57,10 +57,11 @@ class WormholePolicy
       Base::credit_config_, Base::credits_, Base::service_levels_,
       Base::credit_links_, Base::lradix_, Base::lcells_, Base::planes_,
       Base::dilation_, Base::path_policy_, Base::looping_, Base::free_stage_,
-      Base::requests_;
+      Base::requests_, Base::wakes_, Base::stall_sums_;
   using Base::radix, Base::arb_start, Base::arb_grant, Base::eject_start,
       Base::eject_grant, Base::eject_offset, Base::top_weight,
-      Base::account_cell, Base::record_delivery, Base::mark_stall,
+      Base::account_cell, Base::record_delivery,
+      Base::close_pass, Base::set_cell, Base::mark_stall,
       Base::clear_stall_causes, Base::attribute_stall, Base::traced,
       Base::maybe_commit_probe, Base::trace_inject, Base::trace_stage_cross,
       Base::trace_reroute, Base::trace_eject, Base::eject_stall_phase,
@@ -76,7 +77,7 @@ class WormholePolicy
              static_cast<unsigned>(
                  static_cast<std::size_t>(ctx.core.wiring().radix()) *
                  ctx.core.config().lanes),
-             lane_count(ctx.core)),
+             lane_count(ctx.core), /*wake_horizon=*/0),
         observer_(observer),
         lanes_(ctx.core.config().lanes),
         pool_(ctx.workspace.lane_pool(lane_count(ctx.core),
@@ -89,6 +90,12 @@ class WormholePolicy
                           static_cast<double>(lanes_) *
                           static_cast<double>(ctx.core.config().lane_depth)) {
     if constexpr (kFaulted) dropping_.assign(lane_count(core_), 0);
+    const auto candidates = static_cast<unsigned>(
+        planes_ * static_cast<std::size_t>(radix_) * lanes_);
+    for (unsigned c = 0; c < candidates; ++c) {
+      lane_port_.push_back(
+          static_cast<std::uint32_t>(eject_offset(c) / lanes_));
+    }
   }
 
   /// Inject at the first stage: terminal t feeds slot t % r of cell
@@ -105,6 +112,8 @@ class WormholePolicy
     // drivers, keeping trace bytes thread-count invariant.
     obs::WorkerLog* const log = kernel_log<false>(obs_, nullptr);
     const unsigned r = radix();
+    // Every flit pushed wakes its first-stage cell for the next cycle.
+    const auto first_stage = wakes_->template pass<false>(0, cycle);
     for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
       SourceState& src = sources_[t];
       if (src.remaining > 0) {
@@ -125,6 +134,7 @@ class WormholePolicy
                                     static_cast<std::uint32_t>(t),
                                     src.inject_cycle, src.next_index, length_,
                                     src.sl, src.tag));
+          first_stage.wake(set_cell(0, t));
           if constexpr (kCredits) credits_->consume(l);
           ++src.next_index;
           --src.remaining;
@@ -170,6 +180,7 @@ class WormholePolicy
                          0, static_cast<std::uint32_t>(t / r),
                          core_.engine().route_port(0, dest), measuring,
                          nullptr, cycle, inject_phase());
+      first_stage.wake(set_cell(0, t));
       if constexpr (kCredits) {
         credits_->consume(lane_index(0, t, static_cast<std::size_t>(lane)));
       }
@@ -268,85 +279,119 @@ class WormholePolicy
     obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
     CellRequests& req = cell_requests<kShard>(requests_, wk);
     const int last = core_.stages() - 1;
+    StallTally& sum = stall_sum<kShard>(stall_sums_, last, wk);
+    const auto wake = wakes_->template pass<kShard>(last, cycle);
+    // The range's frozen cells, kept local (pool stores could alias the
+    // sum), and this pass's visited cells that stay awake.
+    StallTally frozen = sum;
+    StallTally awake;
     const unsigned r = radix();
     const unsigned lr = kMultiPath ? lradix_ : r;
     const auto per_plane =
         static_cast<unsigned>(static_cast<std::size_t>(r) * lanes_);
     const unsigned candidates = planes_ * per_plane;
-    for (std::uint32_t x = x0; x < x1; ++x) {
-      const std::size_t first = lane_index(last, std::size_t{x} * r, 0);
-      for (unsigned c = 0; c < candidates; ++c) {
-        const std::size_t l = first + eject_offset(c);
-        if (pool_.empty(l)) continue;
-        req.set_ready(c);
-        req.request(pool_.out_port(l), c);
-      }
-      if (req.idle()) continue;  // nothing buffered: nothing moves or blocks
-      unsigned port;
-      while (req.next_port(port)) {
-        const std::size_t term = static_cast<std::size_t>(x) * lr + port;
-        // Strict priority: only a worm of the highest ready weight class
-        // may win this cycle.
-        [[maybe_unused]] unsigned need_weight = 0;
-        if constexpr (kCredits) {
-          if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
-            need_weight = top_weight(
-                req.set(port), req.words(), [&](unsigned c) {
-                  return flit_weight(first + eject_offset(c));
-                });
+    for (std::size_t w = x0 / 64; w * 64 < x1; ++w) {
+      for (std::uint64_t cells = wakes_->take(last, w, cycle); cells != 0;
+           cells &= cells - 1) {
+        const auto x = static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(cells)));
+        frozen.thaw(wake.tally[x]);
+        const std::size_t first = lane_index(last, std::size_t{x} * r, 0);
+        for (unsigned c = 0; c < candidates; ++c) {
+          const std::size_t l = first + eject_offset(c);
+          if (pool_.empty(l)) continue;
+          req.set_ready(c);
+          req.request(pool_.out_port(l), c);
+        }
+        if (req.idle()) {  // nothing buffered: nothing moves or blocks
+          wake.sleep(x);
+          continue;
+        }
+        // A cell stays awake when it grants — and always when every
+        // cell is visited anyway, so observed runs never freeze one.
+        bool awake_next = wake.visit_all;
+        unsigned port;
+        while (req.next_port(port)) {
+          const std::size_t term = static_cast<std::size_t>(x) * lr + port;
+          // Strict priority: only a worm of the highest ready weight class
+          // may win this cycle.
+          [[maybe_unused]] unsigned need_weight = 0;
+          if constexpr (kCredits) {
+            if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
+              need_weight = top_weight(
+                  req.set(port), req.words(), [&](unsigned c) {
+                    return flit_weight(first + eject_offset(c));
+                  });
+            }
           }
-        }
-        const unsigned c = scan_round_robin(
-            req.set(port), req.words(), eject_start(term),
-            [&]([[maybe_unused]] unsigned c) {
-              if constexpr (kCredits) {
-                return credit_config_->arbitration !=
-                           ArbitrationPolicy::kPriority ||
-                       flit_weight(first + eject_offset(c)) == need_weight;
-              }
-              return true;
-            });
-        req.clear_set(port);
-        if (c == kNoCandidate) continue;
-        const std::size_t l = first + eject_offset(c);
-        [[maybe_unused]] unsigned vl = 0;
-        if constexpr (kCredits) {
-          vl = credit_config_->vl_of_sl(
-              static_cast<unsigned>(pool_.front(l).sl));
-        }
-        const Flit flit = shard_pop<kShard>(l, wk);
-        if constexpr (kCredits) credits_->give_back(l, cycle);
-        eject_grant(term, c, vl);
-        req.moved(c);
-        const bool counted =
-            measuring && flit.inject_cycle >= core_.config().warmup_cycles;
-        if (counted) ++res.flits_delivered;
-        if (log != nullptr) [[unlikely]] {
-          trace_flit_eject(*log, measuring, cycle, flit);
-        }
-        if constexpr (kFaulted) {
-          // A detoured worm ejects at whatever terminal the surviving
-          // route reached; count the miss.
-          if (counted && flit.is_tail() && (flit.dest_terminal / lr) != x) {
-            ++res.packets_misdelivered;
+          const unsigned c = scan_round_robin(
+              req.set(port), req.words(), eject_start(term),
+              [&]([[maybe_unused]] unsigned c) {
+                if constexpr (kCredits) {
+                  return credit_config_->arbitration !=
+                             ArbitrationPolicy::kPriority ||
+                         flit_weight(first + eject_offset(c)) == need_weight;
+                }
+                return true;
+              });
+          req.clear_set(port);
+          if (c == kNoCandidate) continue;
+          const std::size_t l = first + eject_offset(c);
+          [[maybe_unused]] unsigned vl = 0;
+          if constexpr (kCredits) {
+            vl = credit_config_->vl_of_sl(
+                static_cast<unsigned>(pool_.front(l).sl));
           }
+          const Flit flit = shard_pop<kShard>(l, wk);
+          if constexpr (kCredits) {
+            credits_->give_back(l, cycle, return_list<kShard>(wk));
+          }
+          eject_grant(term, c, vl);
+          req.moved(c);
+          awake_next = true;
+          wake.wake_parent(std::size_t{x} * r + lane_port_[c]);
+          const bool counted =
+              measuring && flit.inject_cycle >= core_.config().warmup_cycles;
+          if (counted) ++res.flits_delivered;
+          if (log != nullptr) [[unlikely]] {
+            trace_flit_eject(*log, measuring, cycle, flit);
+          }
+          if constexpr (kFaulted) {
+            // A detoured worm ejects at whatever terminal the surviving
+            // route reached; count the miss.
+            if (counted && flit.is_tail() && (flit.dest_terminal / lr) != x) {
+              ++res.packets_misdelivered;
+            }
+          }
+          complete_eject<kShard>(flit, static_cast<std::uint32_t>(term), cycle,
+                                 counted, wk);
         }
-        complete_eject<kShard>(flit, static_cast<std::uint32_t>(term), cycle,
-                               counted, wk);
+        // Planes own consecutive candidate runs and one stall phase each.
+        unsigned plane = 0;
+        unsigned plane_end = per_plane;
+        const CellTally share = cell_tally(
+            account_cell(req, measuring, log,
+                         [&](unsigned c) {
+                           while (c >= plane_end) {
+                             ++plane;
+                             plane_end += per_plane;
+                           }
+                           const std::size_t l =
+                               first + eject_offset(c);
+                           attribute_stall(last, cycle, l, l, res,
+                                           *log,
+                                           eject_stall_phase(plane));
+                         }),
+            0);
+        if (awake_next) {
+          awake.add(share);
+        } else {
+          wake.sleep(x);
+          frozen.freeze(wake.tally[x], share);
+        }
       }
-      // Planes own consecutive candidate runs and one stall phase each.
-      unsigned plane = 0;
-      unsigned plane_end = per_plane;
-      account_cell(req, measuring, res, log, [&](unsigned c) {
-        while (c >= plane_end) {
-          ++plane;
-          plane_end += per_plane;
-        }
-        const std::size_t l = first + eject_offset(c);
-        attribute_stall(last, cycle, l, l, res, *log,
-                        eject_stall_phase(plane));
-      });
     }
+    close_pass(sum, frozen, awake, measuring, res);
   }
 
   /// Advance stage \p s over cells [x0, x1) in one pass per cell: one
@@ -363,6 +408,12 @@ class WormholePolicy
     SimResult& res = shard_result<kShard>(core_, wk);
     obs::WorkerLog* const log = kernel_log<kShard>(obs_, wk);
     CellRequests& req = cell_requests<kShard>(requests_, wk);
+    StallTally& sum = stall_sum<kShard>(stall_sums_, s, wk);
+    const auto wake = wakes_->template pass<kShard>(s, cycle);
+    // The range's frozen cells, kept local (pool stores could alias the
+    // sum), and this pass's visited cells that stay awake.
+    StallTally frozen = sum;
+    StallTally awake;
     const unsigned r = radix();
     const auto down = core_.wiring().down_stage(s);
     // Where an advancing head resolves its next out-port.
@@ -377,132 +428,164 @@ class WormholePolicy
                          lane_index(s, std::size_t{x1} * r, 0));
     }
     std::uint64_t moves = 0;  // flits that left stage s this cycle
-    for (std::uint32_t x = x0; x < x1; ++x) {
-      const std::size_t first = lane_index(s, std::size_t{x} * r, 0);
-      for (unsigned c = 0; c < per_cell; ++c) {
-        if (pool_.empty(first + c)) continue;
-        req.set_ready(c);
-        req.request(pool_.out_port(first + c), c);
-      }
-      if (req.idle()) continue;  // nothing buffered: nothing moves or blocks
-      unsigned port;
-      while (req.next_port(port)) {
-        // Strict priority: only a worm of the highest ready weight class
-        // may win this cycle.
-        [[maybe_unused]] unsigned need_weight = 0;
-        if constexpr (kCredits) {
-          if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
-            need_weight = top_weight(
-                req.set(port), req.words(),
-                [&](unsigned c) { return flit_weight(first + c); });
-          }
+    for (std::size_t w = x0 / 64; w * 64 < x1; ++w) {
+      for (std::uint64_t cells = wakes_->take(s, w, cycle); cells != 0;
+           cells &= cells - 1) {
+        const auto x = static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(cells)));
+        frozen.thaw(wake.tally[x]);
+        const std::size_t first = lane_index(s, std::size_t{x} * r, 0);
+        for (unsigned c = 0; c < per_cell; ++c) {
+          if (pool_.empty(first + c)) continue;
+          req.set_ready(c);
+          req.request(pool_.out_port(first + c), c);
         }
-        // One packed read gives the child cell and its input slot — the
-        // record value r * child + slot IS the downstream port-slot
-        // index.
-        const std::size_t out = std::size_t{x} * r + port;
-        const std::uint32_t record = down[out];
-        const std::size_t target_first = lane_index(s + 1, record, 0);
-        int down_lane = -1;  // the downstream lane a winning head claims
-        const unsigned c = scan_round_robin(
-            req.set(port), req.words(), arb_start(s, out), [&](unsigned c) {
-              const std::size_t l = first + c;
-              if constexpr (kCredits) {
-                if (credit_config_->arbitration ==
-                        ArbitrationPolicy::kPriority &&
-                    flit_weight(l) != need_weight) {
-                  return false;
-                }
-              }
-              if (pool_.front(l).is_head()) {
-                // The head claims a downstream lane: its fixed virtual
-                // lane when an SL->VL map is configured, the first idle
-                // lane otherwise.
-                bool fixed = false;
+        if (req.idle()) {  // nothing buffered: nothing moves or blocks
+          wake.sleep(x);
+          continue;
+        }
+        // A cell stays awake when it grants — and always when every
+        // cell is visited anyway, so observed runs never freeze one.
+        bool awake_next = wake.visit_all;
+        std::uint32_t credit_stalls = 0;
+        unsigned port;
+        while (req.next_port(port)) {
+          // Strict priority: only a worm of the highest ready weight class
+          // may win this cycle.
+          [[maybe_unused]] unsigned need_weight = 0;
+          if constexpr (kCredits) {
+            if (credit_config_->arbitration == ArbitrationPolicy::kPriority) {
+              need_weight = top_weight(
+                  req.set(port), req.words(),
+                  [&](unsigned c) { return flit_weight(first + c); });
+            }
+          }
+          // One packed read gives the child cell and its input slot — the
+          // record value r * child + slot IS the downstream port-slot
+          // index.
+          const std::size_t out = std::size_t{x} * r + port;
+          const std::uint32_t record = down[out];
+          const std::size_t target_first = lane_index(s + 1, record, 0);
+          int down_lane = -1;  // the downstream lane a winning head claims
+          const unsigned c = scan_round_robin(
+              req.set(port), req.words(), arb_start(s, out), [&](unsigned c) {
+                const std::size_t l = first + c;
                 if constexpr (kCredits) {
-                  if (!credit_config_->sl_map.empty()) {
-                    fixed = true;
-                    down_lane = static_cast<int>(credit_config_->vl_of_sl(
-                        static_cast<unsigned>(pool_.front(l).sl)));
-                    if (!pool_.idle(target_first +
-                                    static_cast<std::size_t>(down_lane))) {
-                      down_lane = -1;
-                    }
-                  }
-                }
-                if (!fixed) {
-                  down_lane = pool_.find_idle_lane(target_first, lanes_);
-                }
-                if (down_lane < 0) {
-                  if (log != nullptr) [[unlikely]] {
-                    mark_stall(l, obs::StallCause::kNoFreeLane);
-                  }
-                  return false;  // blocked: no (or not its) free lane
-                }
-                if constexpr (kCredits) {
-                  if (!credits_->available(
-                          target_first +
-                          static_cast<std::size_t>(down_lane))) {
-                    // Lane is free but its credits have not returned yet.
-                    credit_stall(res, log, l, s, measuring);
+                  if (credit_config_->arbitration ==
+                          ArbitrationPolicy::kPriority &&
+                      flit_weight(l) != need_weight) {
                     return false;
                   }
                 }
-                return true;
-              }
-              // Body/tail flits follow through the reserved lane.
-              const std::size_t down_l =
-                  target_first + static_cast<std::size_t>(pool_.downstream(l));
-              if constexpr (kCredits) {
-                if (!credits_->available(down_l)) {
-                  credit_stall(res, log, l, s, measuring);
-                  return false;
-                }
-              } else {
-                if (!pool_.has_space(down_l)) {
-                  if (log != nullptr) [[unlikely]] {
-                    mark_stall(l, obs::StallCause::kDownstreamFull);
+                if (pool_.front(l).is_head()) {
+                  // The head claims a downstream lane: its fixed virtual
+                  // lane when an SL->VL map is configured, the first idle
+                  // lane otherwise.
+                  bool fixed = false;
+                  if constexpr (kCredits) {
+                    if (!credit_config_->sl_map.empty()) {
+                      fixed = true;
+                      down_lane = static_cast<int>(credit_config_->vl_of_sl(
+                          static_cast<unsigned>(pool_.front(l).sl)));
+                      if (!pool_.idle(target_first +
+                                      static_cast<std::size_t>(down_lane))) {
+                        down_lane = -1;
+                      }
+                    }
                   }
-                  return false;  // blocked: full
+                  if (!fixed) {
+                    down_lane = pool_.find_idle_lane(target_first, lanes_);
+                  }
+                  if (down_lane < 0) {
+                    if (log != nullptr) [[unlikely]] {
+                      mark_stall(l, obs::StallCause::kNoFreeLane);
+                    }
+                    return false;  // blocked: no (or not its) free lane
+                  }
+                  if constexpr (kCredits) {
+                    if (!credits_->available(
+                            target_first +
+                            static_cast<std::size_t>(down_lane))) {
+                      // Lane is free but its credits have not returned yet.
+                      credit_stall(credit_stalls, log, l, s, measuring);
+                      return false;
+                    }
+                  }
+                  return true;
                 }
-              }
-              return true;
-            });
-        req.clear_set(port);
-        if (c == kNoCandidate) continue;
-        const std::size_t l = first + c;
-        [[maybe_unused]] unsigned vl = 0;
-        if constexpr (kCredits) {
-          vl = credit_config_->vl_of_sl(
-              static_cast<unsigned>(pool_.front(l).sl));
-        }
-        if (pool_.front(l).is_head()) {
-          const std::size_t down_l =
-              target_first + static_cast<std::size_t>(down_lane);
-          const Flit flit = shard_pop<kShard>(l, wk);
-          if constexpr (kCredits) credits_->give_back(l, cycle);
-          if (!flit.is_tail()) pool_.set_downstream(l, down_lane);
-          advance_head<kShard>(next, record, down_l, flit, measuring, wk,
-                               cycle, s);
-          if constexpr (kCredits) credits_->consume(down_l);
-        } else {
-          const std::size_t down_l =
-              target_first + static_cast<std::size_t>(pool_.downstream(l));
-          shard_accept<kShard>(down_l, shard_pop<kShard>(l, wk), wk);
+                // Body/tail flits follow through the reserved lane.
+                const std::size_t down_l =
+                    target_first +
+                    static_cast<std::size_t>(pool_.downstream(l));
+                if constexpr (kCredits) {
+                  if (!credits_->available(down_l)) {
+                    credit_stall(credit_stalls, log, l, s, measuring);
+                    return false;
+                  }
+                } else {
+                  if (!pool_.has_space(down_l)) {
+                    if (log != nullptr) [[unlikely]] {
+                      mark_stall(l, obs::StallCause::kDownstreamFull);
+                    }
+                    return false;  // blocked: full
+                  }
+                }
+                return true;
+              });
+          req.clear_set(port);
+          if (c == kNoCandidate) continue;
+          const std::size_t l = first + c;
+          [[maybe_unused]] unsigned vl = 0;
           if constexpr (kCredits) {
-            credits_->give_back(l, cycle);
-            credits_->consume(down_l);
+            vl = credit_config_->vl_of_sl(
+                static_cast<unsigned>(pool_.front(l).sl));
           }
+          if (pool_.front(l).is_head()) {
+            const std::size_t down_l =
+                target_first + static_cast<std::size_t>(down_lane);
+            const Flit flit = shard_pop<kShard>(l, wk);
+            if constexpr (kCredits) {
+              credits_->give_back(l, cycle, return_list<kShard>(wk));
+            }
+            if (!flit.is_tail()) pool_.set_downstream(l, down_lane);
+            advance_head<kShard>(next, record, down_l, flit, measuring, wk,
+                                 cycle, s);
+            if constexpr (kCredits) credits_->consume(down_l);
+          } else {
+            const std::size_t down_l =
+                target_first + static_cast<std::size_t>(pool_.downstream(l));
+            shard_accept<kShard>(down_l, shard_pop<kShard>(l, wk), wk);
+            if constexpr (kCredits) {
+              credits_->give_back(l, cycle, return_list<kShard>(wk));
+              credits_->consume(down_l);
+            }
+          }
+          arb_grant(s, out, c, vl);
+          req.moved(c);
+          awake_next = true;
+          ++moves;
+          // The cell feeding the popped lane sees room now; the child has a
+          // flit to move next cycle.
+          wake.wake_parent(std::size_t{x} * r + lane_port_[c]);
+          wake.wake_child(set_cell(s + 1, record));
         }
-        arb_grant(s, out, c, vl);
-        req.moved(c);
-        ++moves;
+        const CellTally share = cell_tally(
+            account_cell(req, measuring, log,
+                         [&](unsigned c) {
+                           attribute_stall(s, cycle, first + c,
+                                           first + c, res, *log,
+                                           stall_phase(s));
+                         }),
+            credit_stalls);
+        if (awake_next) {
+          awake.add(share);
+        } else {
+          wake.sleep(x);
+          frozen.freeze(wake.tally[x], share);
+        }
       }
-      account_cell(req, measuring, res, log, [&](unsigned c) {
-        attribute_stall(s, cycle, first + c, first + c, res, *log,
-                        stall_phase(s));
-      });
     }
+    close_pass(sum, frozen, awake, measuring, res);
     if (measuring) count_hops<kShard>(s, moves, log, wk);
   }
 
@@ -632,16 +715,13 @@ class WormholePolicy
     return flits;
   }
 
-  /// A flit whose downstream lane is out of credits stays put.
-  void credit_stall(SimResult& res, obs::WorkerLog* log, std::size_t l,
-                    int s, bool measuring) {
-    if (measuring) {
-      ++res.credit_stall_cycles;
-      if (log != nullptr) [[unlikely]] {
-        ++log->credit[static_cast<std::size_t>(s)];
-      }
-    }
+  /// A flit whose downstream lane is out of credits stays put; the
+  /// cell's pass counts it in \p credit_stalls.
+  void credit_stall(std::uint32_t& credit_stalls, obs::WorkerLog* log,
+                    std::size_t l, int s, bool measuring) {
+    ++credit_stalls;
     if (log != nullptr) [[unlikely]] {
+      if (measuring) ++log->credit[static_cast<std::size_t>(s)];
       mark_stall(l, obs::StallCause::kZeroCredits);
     }
   }
@@ -759,6 +839,7 @@ class WormholePolicy
     obs::WorkerLog* const log = kernel_log<false>(obs_, nullptr);
     const unsigned r = radix_;
     const StageRouting first = stage_routing(0);
+    const auto first_stage = wakes_->template pass<false>(0, cycle);
     for (std::uint64_t t = 0; t < core_.terminals(); ++t) {
       SourceState& src = sources_[t];
       if (src.remaining > 0) {
@@ -769,6 +850,7 @@ class WormholePolicy
                                     static_cast<std::uint32_t>(t),
                                     src.inject_cycle, src.next_index, length_,
                                     src.sl, src.tag));
+          first_stage.wake(set_cell(0, src.port));
           ++src.next_index;
           --src.remaining;
           if (measuring) ++core_.result.flits_injected;
@@ -825,6 +907,7 @@ class WormholePolicy
           lane_index(0, port_index, static_cast<std::size_t>(lane)), head, 0,
           static_cast<std::uint32_t>(port_index / r), desired, measuring,
           nullptr, cycle, inject_phase());
+      first_stage.wake(set_cell(0, port_index));
       if constexpr (kFaulted) {
         if (reroute_kind == 1 && measuring &&
             cycle >= core_.config().warmup_cycles) {
@@ -996,9 +1079,15 @@ class WormholePolicy
       if (dropping_[l] == 0) continue;
       while (!pool_.empty(l)) {
         const Flit flit = shard_pop<kShard>(l, wk);
+        // Every pop wakes the sender. (Here its grant already did: each
+        // flit it pushes into a dropping lane drains before its next
+        // pass.)
+        wakes_->template wake_parent<kShard>(s, (l - first) / lanes_);
         // A drained flit returns its credit like any other pop, so the
         // ledger closes exactly even across dead switches.
-        if constexpr (kCredits) credits_->give_back(l, cycle);
+        if constexpr (kCredits) {
+          credits_->give_back(l, cycle, return_list<kShard>(wk));
+        }
         if (measuring && flit.inject_cycle >= core_.config().warmup_cycles) {
           ++res.flits_dropped_faulted;
           if (flit.is_head()) ++res.packets_dropped_faulted;
@@ -1029,6 +1118,9 @@ class WormholePolicy
   std::vector<SourceState> sources_;
   std::uint32_t next_packet_id_ = 0;
   double total_flit_slots_;
+  /// Input port of ejection candidate c, relative to its logical cell's
+  /// first port (advance candidates are the plane-0 prefix).
+  std::vector<std::uint32_t> lane_port_;
   std::vector<std::uint8_t> dropping_;   // kFaulted only
   std::vector<std::uint64_t> vl_flits_;  // kCredits only (scratch)
 };
@@ -1054,7 +1146,8 @@ SimResult WormholeSimulator::run(Pattern pattern, const SimConfig& config,
       DisciplineShape{"WormholeSimulator::run",
                       static_cast<unsigned>(config.lanes),
                       static_cast<double>(config.lanes) *
-                          static_cast<double>(config.lane_depth)},
+                          static_cast<double>(config.lane_depth),
+                      sizeof(Flit), "wormhole lane pool"},
       observer);
 }
 
