@@ -28,12 +28,14 @@ void print_report() {
       for (int i = 0; i + 1 < stages; ++i) cells *= radix;
       if (cells > 4096) continue;
       const min::KaryMIDigraph g = min::kary_baseline(stages, radix);
+      const min::EquivalenceReport report =
+          min::check_baseline_equivalence(g);
       table.add_row({std::to_string(radix), std::to_string(stages),
                      std::to_string(g.cells_per_stage()),
-                     min::kary_is_banyan(g) ? "yes" : "no",
-                     min::kary_satisfies_p1_star(g) ? "yes" : "no",
-                     min::kary_satisfies_p_star_n(g) ? "yes" : "no",
-                     min::kary_is_baseline_equivalent(g) ? "yes" : "no"});
+                     report.banyan ? "yes" : "no",
+                     report.p1_star ? "yes" : "no",
+                     report.p_star_n ? "yes" : "no",
+                     report.equivalent ? "yes" : "no"});
     }
   }
   std::cout << table.str() << '\n';
@@ -50,7 +52,7 @@ void print_report() {
     const min::KaryMIDigraph g(3, 3, std::move(conns));
     if (!min::kary_is_banyan(g)) continue;
     ++banyan;
-    if (min::kary_is_baseline_equivalent(g)) ++equivalent;
+    if (min::is_baseline_equivalent(g)) ++equivalent;
   }
   std::cout << "radix-3 Banyan networks from UNALIGNED independent "
                "connections: "
@@ -68,7 +70,7 @@ void print_report() {
     const min::KaryMIDigraph g(3, 3, std::move(conns));
     if (!min::kary_is_banyan(g)) continue;
     ++aligned_banyan;
-    if (min::kary_is_baseline_equivalent(g)) ++aligned_equivalent;
+    if (min::is_baseline_equivalent(g)) ++aligned_equivalent;
   }
   std::cout << "radix-3 Banyan networks from ALIGNED independent "
                "connections:   "
@@ -91,7 +93,7 @@ static void BM_KaryEquivalenceCheck(benchmark::State& state) {
   const int stages = static_cast<int>(state.range(1));
   const auto g = mineq::min::kary_omega(stages, radix);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mineq::min::kary_is_baseline_equivalent(g));
+    benchmark::DoNotOptimize(mineq::min::is_baseline_equivalent(g));
   }
 }
 BENCHMARK(BM_KaryEquivalenceCheck)->ArgsProduct({{2, 3, 4}, {3, 4, 5}});

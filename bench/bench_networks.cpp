@@ -109,16 +109,6 @@ static void BM_BanyanDoubling(benchmark::State& state) {
 }
 BENCHMARK(BM_BanyanDoubling)->DenseRange(4, 12, 2);
 
-static void BM_BanyanParallel(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto g =
-      mineq::min::build_network(mineq::min::NetworkKind::kBaseline, n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mineq::min::is_banyan(g, /*threads=*/2));
-  }
-}
-BENCHMARK(BM_BanyanParallel)->DenseRange(8, 12, 2);
-
 static void BM_RandomPipidNetwork(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   mineq::util::SplitMix64 rng(61);

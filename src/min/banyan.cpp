@@ -2,86 +2,18 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
-#include "min/kary.hpp"
-#include "util/parallel.hpp"
+#include "min/stage_children.hpp"
 
 namespace mineq::min {
 
 namespace {
 
-/// Per-stage child accessors for the topology representations, so the
-/// path-count DP and the unique-path kernel below are written once. Each
-/// accessor exposes the out-degree and the t-th child.
-struct TableChildren {
-  const std::uint32_t* f;
-  const std::uint32_t* g;
-  [[nodiscard]] static constexpr unsigned degree() noexcept { return 2; }
-  [[nodiscard]] std::uint32_t child(std::uint32_t x, unsigned t) const {
-    return t == 0 ? f[x] : g[x];
-  }
-};
-
-[[nodiscard]] inline TableChildren stage_children(const MIDigraph& g, int s) {
-  const Connection& conn = g.connection(s);
-  return {conn.f_table().data(), conn.g_table().data()};
-}
-
-/// The r image tables of one KaryConnection (RadixLabel caps r at 16).
-struct KaryChildren {
-  std::array<const std::uint32_t*, 16> tables;
-  unsigned r;
-  [[nodiscard]] unsigned degree() const noexcept { return r; }
-  [[nodiscard]] std::uint32_t child(std::uint32_t x, unsigned t) const {
-    return tables[t][x];
-  }
-};
-
-[[nodiscard]] inline KaryChildren stage_children(const KaryMIDigraph& g,
-                                                 int s) {
-  const KaryConnection& conn = g.connection(s);
-  KaryChildren out{{}, static_cast<unsigned>(g.radix())};
-  for (unsigned t = 0; t < out.r; ++t) out.tables[t] = conn.table(t).data();
-  return out;
-}
-
-/// Packed-record accessor over one unpacker (UnpackBinary keeps the
-/// radix-2 shift/mask code generation; UnpackRadix divides).
-template <typename Unpack>
-struct PackedChildren {
-  const std::uint32_t* down;
-  Unpack unpack;
-  [[nodiscard]] unsigned degree() const noexcept { return unpack.radix(); }
-  [[nodiscard]] std::uint32_t child(std::uint32_t x, unsigned t) const {
-    return unpack.cell(down[x * unpack.radix() + t]);
-  }
-};
-
-/// A FlatWiring bound to one unpacker (on_view picks it from radix()).
-template <typename Unpack>
-struct WiringView {
-  const FlatWiring* w;
-  Unpack unpack;
-  [[nodiscard]] int stages() const noexcept { return w->stages(); }
-};
-
-template <typename Unpack>
-[[nodiscard]] inline PackedChildren<Unpack> stage_children(
-    const WiringView<Unpack>& v, int s) {
-  return {v.w->down_stage(s).data(), v.unpack};
-}
-
-/// \p fn applied to \p w's view under its unpacker.
-template <typename Fn>
-auto on_view(const FlatWiring& w, const Fn& fn) {
-  if (w.radix() == 2) return fn(WiringView<UnpackBinary>{&w, {}});
-  return fn(WiringView<UnpackRadix>{&w, {static_cast<unsigned>(w.radix())}});
-}
+using detail::on_view;
+using detail::stage_children;
 
 /// Saturating path-count DP from one source over any representation.
 /// Arcs with a set bit in \p mask (wirings only; null = no faults) carry
@@ -135,13 +67,6 @@ template <std::size_t W>
   return acc != 0;
 }
 
-/// Scratch words for one worker: the kernel's reach and next lanes (2 *
-/// cells * W), which also hold the source-0 walk's three cell arrays.
-template <std::size_t W>
-[[nodiscard]] constexpr std::size_t scratch_words(std::uint32_t cells) {
-  return std::max<std::size_t>(2 * W, 3) * cells;
-}
-
 /// The unique-path kernel for the sources [first, first + count): bit i
 /// of a cell's W words is set iff source first + i reaches it. Each stage
 /// scatters every cell's bits over its out-arcs and fails if some source
@@ -185,44 +110,6 @@ bool block_has_unique_paths(const Network& net, std::uint32_t cells,
   return true;
 }
 
-/// All sources in blocks of 64 * W, across \p threads workers (0 =
-/// hardware concurrency) that each own one scratch buffer and pull
-/// blocks off a shared counter until one fails or none is left. Worker
-/// 0 reuses the caller's \p scratch.
-template <std::size_t W, typename Network>
-bool all_blocks_unique(const Network& net, std::uint32_t cells,
-                       std::size_t threads, std::uint64_t* scratch) {
-  constexpr std::uint32_t kBlock = 64 * W;
-  const std::uint32_t blocks = (cells + kBlock - 1) / kBlock;
-  std::atomic<std::uint32_t> next_block(0);
-  std::atomic<bool> ok(true);
-  const auto work = [&](std::size_t worker) {
-    std::unique_ptr<std::uint64_t[]> own;
-    std::uint64_t* words = scratch;
-    if (worker != 0) {
-      own = std::make_unique_for_overwrite<std::uint64_t[]>(
-          scratch_words<W>(cells));
-      words = own.get();
-    }
-    while (ok.load(std::memory_order_relaxed)) {
-      const std::uint32_t b =
-          next_block.fetch_add(1, std::memory_order_relaxed);
-      if (b >= blocks) return;
-      const std::uint32_t first = b * kBlock;
-      if (!block_has_unique_paths<W>(net, cells, first,
-                                     std::min(kBlock, cells - first), words)) {
-        ok.store(false, std::memory_order_relaxed);
-      }
-    }
-  };
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  const std::size_t workers = std::min<std::size_t>(threads, blocks);
-  util::parallel_for(0, workers, work, workers);
-  return ok.load();
-}
-
 /// Fail fast from source 0 alone, walking only the cells it reaches
 /// (O(cells), against a block's O(stages * cells)): Fig. 5's double-link
 /// stages and non-Banyan independent networks, whose affine stages make
@@ -258,14 +145,23 @@ bool source_zero_has_unique_paths(const Network& net, std::uint32_t cells,
   return true;
 }
 
-/// The source-0 walk, then every block, on one scratch allocation.
+/// The source-0 walk, then every block of 64 * W sources until one
+/// fails, on one scratch allocation: the kernel's reach and next lanes
+/// (2 * cells * W words), which also hold the walk's three cell arrays.
 template <std::size_t W, typename Network>
-bool walk_then_blocks(const Network& net, std::uint32_t cells,
-                      std::size_t threads) {
-  const auto scratch =
-      std::make_unique_for_overwrite<std::uint64_t[]>(scratch_words<W>(cells));
-  return source_zero_has_unique_paths(net, cells, scratch.get()) &&
-         all_blocks_unique<W>(net, cells, threads, scratch.get());
+bool walk_then_blocks(const Network& net, std::uint32_t cells) {
+  constexpr std::uint32_t kBlock = 64 * W;
+  const auto scratch = std::make_unique_for_overwrite<std::uint64_t[]>(
+      std::max<std::size_t>(2 * W, 3) * cells);
+  if (!source_zero_has_unique_paths(net, cells, scratch.get())) return false;
+  for (std::uint32_t first = 0; first < cells; first += kBlock) {
+    if (!block_has_unique_paths<W>(net, cells, first,
+                                   std::min(kBlock, cells - first),
+                                   scratch.get())) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// Shared entry over every representation. A clash-free sweep reaches
@@ -275,12 +171,12 @@ bool walk_then_blocks(const Network& net, std::uint32_t cells,
 /// to 64 cells and four above.
 template <typename Network>
 bool has_unique_paths(const Network& net, std::uint32_t cells,
-                      unsigned degree, std::size_t threads) {
+                      unsigned degree) {
   std::uint64_t sinks = 1;
   for (int s = 1; s < net.stages() && sinks <= cells; ++s) sinks *= degree;
   if (sinks != cells) return false;
-  if (cells <= 64) return walk_then_blocks<1>(net, cells, threads);
-  return walk_then_blocks<4>(net, cells, threads);
+  if (cells <= 64) return walk_then_blocks<1>(net, cells);
+  return walk_then_blocks<4>(net, cells);
 }
 
 }  // namespace
@@ -312,20 +208,20 @@ std::vector<std::uint64_t> path_counts_from(const FlatWiring& w,
   });
 }
 
-bool is_banyan(const MIDigraph& g, std::size_t threads) {
-  return has_unique_paths(g, g.cells_per_stage(), 2, threads);
+bool is_banyan(const MIDigraph& g) {
+  return has_unique_paths(g, g.cells_per_stage(), 2);
 }
 
-bool is_banyan(const FlatWiring& w, std::size_t threads) {
+bool is_banyan(const FlatWiring& w) {
   return on_view(w, [&](const auto& view) {
     return has_unique_paths(view, w.cells_per_stage(),
-                            static_cast<unsigned>(w.radix()), threads);
+                            static_cast<unsigned>(w.radix()));
   });
 }
 
 bool kary_is_banyan(const KaryMIDigraph& g) {
   return has_unique_paths(g, g.cells_per_stage(),
-                          static_cast<unsigned>(g.radix()), 1);
+                          static_cast<unsigned>(g.radix()));
 }
 
 std::optional<BanyanFailure> banyan_failure(const MIDigraph& g) {

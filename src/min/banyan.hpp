@@ -35,9 +35,8 @@ struct BanyanFailure {
 /// stages for blocks of up to 256 sources, one reach bit per source per
 /// cell, failing at the first stage where a source reaches a cell over
 /// two arcs. O(stages * cells^2 * r / 64) word operations and O(cells)
-/// words of scratch per worker. Blocks run across \p threads workers
-/// (0 = hardware concurrency, 1 = sequential).
-[[nodiscard]] bool is_banyan(const MIDigraph& g, std::size_t threads = 1);
+/// words of scratch.
+[[nodiscard]] bool is_banyan(const MIDigraph& g);
 
 /// First failure witness found, or nullopt if the property holds.
 /// Sequential and deterministic.
@@ -60,7 +59,7 @@ struct BanyanFailure {
 /// check_baseline_equivalence(FlatWiring) routes through this; it is
 /// exposed so callers that already hold the IR never touch the tables.
 /// A wiring whose cell count is not radix^(stages-1) is never Banyan.
-[[nodiscard]] bool is_banyan(const FlatWiring& w, std::size_t threads = 1);
+[[nodiscard]] bool is_banyan(const FlatWiring& w);
 
 [[nodiscard]] std::vector<std::uint64_t> path_counts_from(
     const FlatWiring& w, std::uint32_t source, std::uint64_t cap = 4);

@@ -5,78 +5,49 @@
 #include "graph/isomorphism.hpp"
 #include "min/banyan.hpp"
 #include "min/independence.hpp"
-#include "min/properties.hpp"
+#include "min/kary.hpp"
+#include "min/stage_children.hpp"
 
 namespace mineq::min {
 
-EquivalenceReport check_baseline_equivalence(const FlatWiring& w) {
-  EquivalenceReport report;
-  report.valid_degrees = true;  // representable in the IR == valid degrees
-  report.banyan = is_banyan(w);
-  if (!report.banyan) {
-    report.failure = "banyan";
-    return report;
-  }
-  report.p1_star = satisfies_p1_star(w);
-  if (!report.p1_star) {
-    report.failure = "P(1,*)";
-    return report;
-  }
-  report.p_star_n = satisfies_p_star_n(w);
-  if (!report.p_star_n) {
-    report.failure = "P(*,n)";
-    return report;
-  }
-  report.equivalent = true;
-  return report;
-}
-
 namespace {
 
-/// Below this size a whole digraph is a few cache lines and the checks
-/// finish in ~a microsecond; flattening overhead (even ~200ns) cannot
-/// amortize, so small digraphs run entirely off the image tables. From
-/// here up, the IR pays for itself.
-constexpr std::uint32_t kFlattenWorthwhileCells = 128;
+/// The characterization in order of cost, each check run only if every
+/// earlier one held: degrees, Banyan, P(1,*), P(*,n). \p banyan is the
+/// representation's unique-path kernel.
+template <typename Network>
+EquivalenceReport check(const Network& net, bool valid_degrees,
+                        bool (*banyan)(const Network&)) {
+  using detail::Sweep;
+  EquivalenceReport report;
+  report.valid_degrees = valid_degrees;
+  report.banyan = report.valid_degrees && banyan(net);
+  report.p1_star =
+      report.banyan && detail::satisfies_star(net, Sweep::kPrefix);
+  report.p_star_n =
+      report.p1_star && detail::satisfies_star(net, Sweep::kSuffix);
+  report.equivalent = report.p_star_n;
+  report.failure = !report.valid_degrees ? "degrees"
+                   : !report.banyan      ? "banyan"
+                   : !report.p1_star     ? "P(1,*)"
+                   : !report.p_star_n    ? "P(*,n)"
+                                         : "";
+  return report;
+}
 
 }  // namespace
 
 EquivalenceReport check_baseline_equivalence(const MIDigraph& g) {
-  const bool flatten_profiles = g.cells_per_stage() >= kFlattenWorthwhileCells;
-  // Fail-fast order: the degree scan and the early-exiting Banyan check run
-  // straight off the image tables, so networks that fail (the common
-  // case when classifying random candidates) never pay for flattening.
-  // Only a Banyan survivor at IR-worthwhile size is flattened — once —
-  // and finishes the characterization over the packed records.
-  EquivalenceReport report;
-  report.valid_degrees = g.is_valid();
-  if (!report.valid_degrees) {
-    report.failure = "degrees";
-    return report;
-  }
-  report.banyan = is_banyan(g);
-  if (!report.banyan) {
-    report.failure = "banyan";
-    return report;
-  }
-  if (flatten_profiles) {
-    const FlatWiring wiring = FlatWiring::from_digraph(g);
-    report.p1_star = satisfies_p1_star(wiring);
-    report.p_star_n = report.p1_star && satisfies_p_star_n(wiring);
-  } else {
-    report.p1_star = satisfies_p1_star(g);
-    report.p_star_n = report.p1_star && satisfies_p_star_n(g);
-  }
-  if (!report.p1_star) {
-    report.failure = "P(1,*)";
-    return report;
-  }
-  if (!report.p_star_n) {
-    report.failure = "P(*,n)";
-    return report;
-  }
-  report.equivalent = true;
-  return report;
+  return check(g, g.is_valid(), is_banyan);
+}
+
+EquivalenceReport check_baseline_equivalence(const FlatWiring& w) {
+  // Representable in the IR == valid degrees.
+  return check(w, true, is_banyan);
+}
+
+EquivalenceReport check_baseline_equivalence(const KaryMIDigraph& g) {
+  return check(g, g.is_valid(), kary_is_banyan);
 }
 
 bool is_baseline_equivalent(const MIDigraph& g) {
@@ -85,6 +56,10 @@ bool is_baseline_equivalent(const MIDigraph& g) {
 
 bool is_baseline_equivalent(const FlatWiring& w) {
   return check_baseline_equivalence(w).equivalent;
+}
+
+bool is_baseline_equivalent(const KaryMIDigraph& g) {
+  return check_baseline_equivalence(g).equivalent;
 }
 
 bool is_baseline_equivalent_via_independence(const MIDigraph& g) {

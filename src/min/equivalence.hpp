@@ -24,9 +24,11 @@
 
 namespace mineq::min {
 
+class KaryMIDigraph;  // kary.hpp
+
 /// Full decision transcript for one network.
 struct EquivalenceReport {
-  bool valid_degrees = false;  ///< every stage has all in-degrees == 2
+  bool valid_degrees = false;  ///< every in-degree equals the radix
   bool banyan = false;         ///< unique first-to-last paths
   bool p1_star = false;        ///< P(1, j) for every j
   bool p_star_n = false;       ///< P(i, n) for every i
@@ -34,28 +36,34 @@ struct EquivalenceReport {
   /// First failed check, or "" when equivalent ("degrees", "banyan",
   /// "P(1,*)", "P(*,n)").
   std::string failure;
+
+  friend bool operator==(const EquivalenceReport&,
+                         const EquivalenceReport&) = default;
 };
 
-/// Run the full characterization check (degree validity, Banyan, both
-/// component profiles), dominated by the Banyan check's
-/// O(stages * cells^2 / 64) word operations. Fail-fast: degree and
-/// Banyan failures are detected straight off the image tables; a Banyan
-/// survivor is flattened to a FlatWiring once and the component
-/// profiles run over the packed records.
+/// Run the full characterization check, one fail-fast sequence for
+/// every representation: degree validity, Banyan, then the P(1,*) and
+/// P(*,n) component sweeps (one incremental DSU sweep each), dominated
+/// by the Banyan check's O(stages * cells^2 * r / 64) word operations.
+/// Every check reads the representation as it is; nothing is flattened.
 [[nodiscard]] EquivalenceReport check_baseline_equivalence(const MIDigraph& g);
 
-/// Same checks over a prebuilt wiring IR — the path for callers that
-/// already hold the FlatWiring (sweeps, repeated classification): no
-/// flattening, the word-parallel Banyan kernel and the DSU component
-/// profiles all consume the packed records. A constructible FlatWiring
-/// is valid by definition, so valid_degrees is always true here.
+/// Same checks over a prebuilt wiring IR, the path for callers that
+/// already hold the FlatWiring (sweeps, repeated classification). A
+/// constructible FlatWiring is valid by definition, so valid_degrees is
+/// always true here.
 [[nodiscard]] EquivalenceReport check_baseline_equivalence(
     const FlatWiring& w);
 
-[[nodiscard]] bool is_baseline_equivalent(const FlatWiring& w);
+/// The generalized characterization over r x r cells (the paper's
+/// closing remark): P(i,j) expects cells / r^(j-i) components.
+[[nodiscard]] EquivalenceReport check_baseline_equivalence(
+    const KaryMIDigraph& g);
 
-/// Short-circuit decision.
+/// Short-circuit decisions: check_baseline_equivalence(...).equivalent.
 [[nodiscard]] bool is_baseline_equivalent(const MIDigraph& g);
+[[nodiscard]] bool is_baseline_equivalent(const FlatWiring& w);
+[[nodiscard]] bool is_baseline_equivalent(const KaryMIDigraph& g);
 
 /// Theorem-3 fast path: every connection independent + Banyan. Sound
 /// (implies is_baseline_equivalent) but not complete: a Banyan digraph can

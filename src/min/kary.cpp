@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "graph/dsu.hpp"
 #include "perm/permutation.hpp"
 
 namespace mineq::min {
@@ -482,57 +481,6 @@ KaryMIDigraph build_kary_network(NetworkKind kind, int stages, int radix) {
           network_name(kind) +
           " (supported at radix > 2: omega, flip, baseline)");
   }
-}
-
-std::size_t kary_component_count_range(const KaryMIDigraph& g, int lo,
-                                       int hi) {
-  if (lo < 0 || hi >= g.stages() || lo > hi) {
-    throw std::invalid_argument("kary P(i,j): bad stage range");
-  }
-  const std::uint32_t cells = g.cells_per_stage();
-  graph::DSU dsu(static_cast<std::size_t>(hi - lo + 1) * cells);
-  for (int s = lo; s < hi; ++s) {
-    const KaryConnection& conn = g.connection(s);
-    const std::uint32_t base = static_cast<std::uint32_t>(s - lo) * cells;
-    for (unsigned t = 0; t < static_cast<unsigned>(g.radix()); ++t) {
-      for (std::uint32_t x = 0; x < cells; ++x) {
-        dsu.unite(base + x, base + cells + conn.table(t)[x]);
-      }
-    }
-  }
-  return dsu.components();
-}
-
-namespace {
-
-/// Generalized P(lo, hi): exactly cells / r^(hi-lo) components.
-bool kary_satisfies_p(const KaryMIDigraph& g, int lo, int hi) {
-  std::size_t expected = g.cells_per_stage();
-  for (int i = 0; i < hi - lo; ++i) {
-    expected /= static_cast<std::size_t>(g.radix());
-  }
-  return kary_component_count_range(g, lo, hi) == expected;
-}
-
-}  // namespace
-
-bool kary_satisfies_p1_star(const KaryMIDigraph& g) {
-  for (int j = 0; j < g.stages(); ++j) {
-    if (!kary_satisfies_p(g, 0, j)) return false;
-  }
-  return true;
-}
-
-bool kary_satisfies_p_star_n(const KaryMIDigraph& g) {
-  for (int i = 0; i < g.stages(); ++i) {
-    if (!kary_satisfies_p(g, i, g.stages() - 1)) return false;
-  }
-  return true;
-}
-
-bool kary_is_baseline_equivalent(const KaryMIDigraph& g) {
-  return g.is_valid() && kary_is_banyan(g) && kary_satisfies_p1_star(g) &&
-         kary_satisfies_p_star_n(g);
 }
 
 }  // namespace mineq::min

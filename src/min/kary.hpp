@@ -11,7 +11,9 @@
 ///   - a connection is an r-tuple of functions (f_0, ..., f_{r-1}) giving
 ///     each cell its children;
 ///   - Banyan = unique first-to-last paths; P(i, j) asks for exactly
-///     cells / r^(j-i) components on the stage range;
+///     cells / r^(j-i) components on the stage range, and
+///     check_baseline_equivalence(const KaryMIDigraph&) (equivalence.hpp)
+///     decides valid + Banyan + P(1,*) + P(*,n) with the binary case's code;
 ///   - a connection is *independent* iff for every alpha != 0 (digit-wise
 ///     mod-r addition in Z_r^{n-1}) there is a beta with
 ///     f_t(x (+) alpha) = beta (+) f_t(x) for all x and all t — the
@@ -215,17 +217,5 @@ class KaryMIDigraph {
 /// path-count definition for any tables, in O(stages * cells^2 * r / 64)
 /// word operations and O(cells) words of scratch.
 [[nodiscard]] bool kary_is_banyan(const KaryMIDigraph& g);
-
-/// Component count of the stage range [lo, hi].
-[[nodiscard]] std::size_t kary_component_count_range(const KaryMIDigraph& g,
-                                                     int lo, int hi);
-
-/// Generalized P(1,*) and P(*,n).
-[[nodiscard]] bool kary_satisfies_p1_star(const KaryMIDigraph& g);
-[[nodiscard]] bool kary_satisfies_p_star_n(const KaryMIDigraph& g);
-
-/// The generalized easy characterization: valid + Banyan + P(1,*) +
-/// P(*,n).
-[[nodiscard]] bool kary_is_baseline_equivalent(const KaryMIDigraph& g);
 
 }  // namespace mineq::min

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "graph/dsu.hpp"
+#include "min/stage_children.hpp"
 
 namespace mineq::min {
 
@@ -15,27 +16,113 @@ void check_range(const MIDigraph& g, int lo, int hi) {
   }
 }
 
+/// P(lo, hi)'s component count for span = hi - lo, at any radix:
+/// cells / radix^span.
+std::size_t expected_count(std::uint32_t cells, unsigned radix, int span) {
+  std::size_t expected = cells;
+  for (int k = 0; k < span; ++k) expected /= radix;
+  return expected;
+}
+
+/// Unites every arc of one connection: upper-stage cell x is node
+/// base + x and its children are nodes base + cells + child.
+template <typename Children>
+void unite_stage(const Children& children, std::uint32_t cells,
+                 std::uint32_t base, graph::DSU& dsu) {
+  for (std::uint32_t x = 0; x < cells; ++x) {
+    for (unsigned t = 0; t < children.degree(); ++t) {
+      dsu.unite(base + x, base + cells + children.child(x, t));
+    }
+  }
+}
+
+/// The DSU of stages lo..hi with every connection between them united;
+/// cell x of stage s is node (s - lo) * cells + x.
+template <typename Network>
+graph::DSU united_range(const Network& net, std::uint32_t cells, int lo,
+                        int hi) {
+  graph::DSU dsu(static_cast<std::size_t>(hi - lo + 1) * cells);
+  for (int s = lo; s < hi; ++s) {
+    unite_stage(detail::stage_children(net, s), cells,
+                static_cast<std::uint32_t>(s - lo) * cells, dsu);
+  }
+  return dsu;
+}
+
+/// One incremental DSU sweep over the whole digraph, from stage 0 down
+/// (kPrefix) or from the last stage up (kSuffix). After k connections
+/// the nodes of the stages not yet reached are singletons, so the
+/// span's count is the DSU's count minus them. profile[j] counts
+/// (G)_{0..j} for kPrefix and (G)_{j..n-1} for kSuffix.
+template <typename Network>
+std::vector<std::size_t> component_profile(const Network& net,
+                                           std::uint32_t cells,
+                                           detail::Sweep sweep) {
+  const int stages = net.stages();
+  const bool prefix = sweep == detail::Sweep::kPrefix;
+  graph::DSU dsu(static_cast<std::size_t>(stages) * cells);
+  std::vector<std::size_t> profile(static_cast<std::size_t>(stages));
+  for (int k = 0; k < stages; ++k) {
+    if (k > 0) {
+      const int s = prefix ? k - 1 : stages - 1 - k;
+      unite_stage(detail::stage_children(net, s), cells,
+                  static_cast<std::uint32_t>(s) * cells, dsu);
+    }
+    const std::size_t untouched =
+        static_cast<std::size_t>(stages - 1 - k) * cells;
+    profile[static_cast<std::size_t>(prefix ? k : stages - 1 - k)] =
+        dsu.components() - untouched;
+  }
+  return profile;
+}
+
+/// P(1,*) or P(*,n): the span of every profile entry has the expected
+/// count.
+template <typename Network>
+bool profile_holds(const Network& net, std::uint32_t cells, unsigned radix,
+                   detail::Sweep sweep) {
+  const auto profile = component_profile(net, cells, sweep);
+  const int last = net.stages() - 1;
+  for (int j = 0; j <= last; ++j) {
+    const int span = sweep == detail::Sweep::kPrefix ? j : last - j;
+    if (profile[static_cast<std::size_t>(j)] !=
+        expected_count(cells, radix, span)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
+
+namespace detail {
+
+bool satisfies_star(const MIDigraph& g, Sweep sweep) {
+  return profile_holds(g, g.cells_per_stage(), 2, sweep);
+}
+
+bool satisfies_star(const FlatWiring& w, Sweep sweep) {
+  return on_view(w, [&](const auto& view) {
+    return profile_holds(view, w.cells_per_stage(),
+                         static_cast<unsigned>(w.radix()), sweep);
+  });
+}
+
+bool satisfies_star(const KaryMIDigraph& g, Sweep sweep) {
+  return profile_holds(g, g.cells_per_stage(),
+                       static_cast<unsigned>(g.radix()), sweep);
+}
+
+}  // namespace detail
 
 std::size_t component_count_range(const MIDigraph& g, int lo, int hi) {
   check_range(g, lo, hi);
-  const std::uint32_t cells = g.cells_per_stage();
-  const std::size_t span = static_cast<std::size_t>(hi - lo + 1);
-  graph::DSU dsu(span * cells);
-  for (int s = lo; s < hi; ++s) {
-    const Connection& conn = g.connection(s);
-    const std::uint32_t base = static_cast<std::uint32_t>(s - lo) * cells;
-    for (std::uint32_t x = 0; x < cells; ++x) {
-      dsu.unite(base + x, base + cells + conn.f_table()[x]);
-      dsu.unite(base + x, base + cells + conn.g_table()[x]);
-    }
-  }
-  return dsu.components();
+  return united_range(g, g.cells_per_stage(), lo, hi).components();
 }
 
 std::size_t expected_components(const MIDigraph& g, int lo, int hi) {
   check_range(g, lo, hi);
-  return std::size_t{1} << (g.width() - (hi - lo));
+  return expected_count(g.cells_per_stage(), 2, hi - lo);
 }
 
 bool satisfies_p(const MIDigraph& g, int lo, int hi) {
@@ -43,216 +130,26 @@ bool satisfies_p(const MIDigraph& g, int lo, int hi) {
 }
 
 std::vector<std::size_t> prefix_component_profile(const MIDigraph& g) {
-  const std::uint32_t cells = g.cells_per_stage();
-  // One DSU over the whole digraph; after wiring stage s-1 -> s, the
-  // component count over stages 0..s equals the full-DSU count minus the
-  // (stages-1-s) * cells untouched singleton nodes.
-  graph::DSU dsu(static_cast<std::size_t>(g.stages()) * cells);
-  std::vector<std::size_t> profile;
-  profile.reserve(static_cast<std::size_t>(g.stages()));
-  profile.push_back(cells);  // (G)_{0..0}: isolated cells
-  for (int s = 0; s + 1 < g.stages(); ++s) {
-    const Connection& conn = g.connection(s);
-    const std::uint32_t base = static_cast<std::uint32_t>(s) * cells;
-    for (std::uint32_t x = 0; x < cells; ++x) {
-      dsu.unite(base + x, base + cells + conn.f_table()[x]);
-      dsu.unite(base + x, base + cells + conn.g_table()[x]);
-    }
-    const std::size_t untouched =
-        static_cast<std::size_t>(g.stages() - 2 - s) * cells;
-    profile.push_back(dsu.components() - untouched);
-  }
-  return profile;
+  return component_profile(g, g.cells_per_stage(), detail::Sweep::kPrefix);
 }
 
 std::vector<std::size_t> suffix_component_profile(const MIDigraph& g) {
-  const std::uint32_t cells = g.cells_per_stage();
-  graph::DSU dsu(static_cast<std::size_t>(g.stages()) * cells);
-  std::vector<std::size_t> profile(static_cast<std::size_t>(g.stages()));
-  profile[static_cast<std::size_t>(g.stages() - 1)] = cells;
-  for (int s = g.stages() - 2; s >= 0; --s) {
-    const Connection& conn = g.connection(s);
-    const std::uint32_t base = static_cast<std::uint32_t>(s) * cells;
-    for (std::uint32_t x = 0; x < cells; ++x) {
-      dsu.unite(base + x, base + cells + conn.f_table()[x]);
-      dsu.unite(base + x, base + cells + conn.g_table()[x]);
-    }
-    const std::size_t untouched = static_cast<std::size_t>(s) * cells;
-    profile[static_cast<std::size_t>(s)] = dsu.components() - untouched;
-  }
-  return profile;
+  return component_profile(g, g.cells_per_stage(), detail::Sweep::kSuffix);
 }
 
 bool satisfies_p1_star(const MIDigraph& g) {
-  const auto profile = prefix_component_profile(g);
-  for (int j = 0; j < g.stages(); ++j) {
-    if (profile[static_cast<std::size_t>(j)] !=
-        (std::size_t{1} << (g.width() - j))) {
-      return false;
-    }
-  }
-  return true;
+  return detail::satisfies_star(g, detail::Sweep::kPrefix);
 }
 
 bool satisfies_p_star_n(const MIDigraph& g) {
-  const auto profile = suffix_component_profile(g);
-  for (int i = 0; i < g.stages(); ++i) {
-    if (profile[static_cast<std::size_t>(i)] !=
-        (std::size_t{1} << i)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-namespace {
-
-/// DSU union of one packed connection, templated on the record unpacker
-/// (flat_wiring.hpp): the radix-2 instantiation keeps its historic
-/// shift/mask code generation, general radices divide.
-template <typename Unpack>
-void unite_stage(const FlatWiring& w, const Unpack unpack, int s,
-                 std::uint32_t base, graph::DSU& dsu) {
-  const std::uint32_t cells = w.cells_per_stage();
-  const auto down = w.down_stage(s);
-  for (std::uint32_t x = 0; x < cells; ++x) {
-    for (unsigned port = 0; port < unpack.radix(); ++port) {
-      dsu.unite(base + x,
-                base + cells + unpack.cell(down[x * unpack.radix() + port]));
-    }
-  }
-}
-
-template <typename Unpack>
-std::vector<std::size_t> wiring_prefix_profile(const FlatWiring& w,
-                                               const Unpack unpack) {
-  const std::uint32_t cells = w.cells_per_stage();
-  graph::DSU dsu(static_cast<std::size_t>(w.stages()) * cells);
-  std::vector<std::size_t> profile;
-  profile.reserve(static_cast<std::size_t>(w.stages()));
-  profile.push_back(cells);  // (G)_{0..0}: isolated cells
-  for (int s = 0; s + 1 < w.stages(); ++s) {
-    unite_stage(w, unpack, s, static_cast<std::uint32_t>(s) * cells, dsu);
-    const std::size_t untouched =
-        static_cast<std::size_t>(w.stages() - 2 - s) * cells;
-    profile.push_back(dsu.components() - untouched);
-  }
-  return profile;
-}
-
-template <typename Unpack>
-std::vector<std::size_t> wiring_suffix_profile(const FlatWiring& w,
-                                               const Unpack unpack) {
-  const std::uint32_t cells = w.cells_per_stage();
-  graph::DSU dsu(static_cast<std::size_t>(w.stages()) * cells);
-  std::vector<std::size_t> profile(static_cast<std::size_t>(w.stages()));
-  profile[static_cast<std::size_t>(w.stages() - 1)] = cells;
-  for (int s = w.stages() - 2; s >= 0; --s) {
-    unite_stage(w, unpack, s, static_cast<std::uint32_t>(s) * cells, dsu);
-    const std::size_t untouched = static_cast<std::size_t>(s) * cells;
-    profile[static_cast<std::size_t>(s)] = dsu.components() - untouched;
-  }
-  return profile;
-}
-
-}  // namespace
-
-std::vector<std::size_t> prefix_component_profile(const FlatWiring& w) {
-  if (w.radix() == 2) return wiring_prefix_profile(w, UnpackBinary{});
-  return wiring_prefix_profile(
-      w, UnpackRadix{static_cast<unsigned>(w.radix())});
-}
-
-std::vector<std::size_t> suffix_component_profile(const FlatWiring& w) {
-  if (w.radix() == 2) return wiring_suffix_profile(w, UnpackBinary{});
-  return wiring_suffix_profile(
-      w, UnpackRadix{static_cast<unsigned>(w.radix())});
-}
-
-bool satisfies_p1_star(const FlatWiring& w) {
-  const auto profile = prefix_component_profile(w);
-  // P(1, j) demands cells / radix^j components on the prefix; cells is
-  // radix^width by construction, so the division is exact down to 1.
-  std::size_t expected = w.cells_per_stage();
-  for (int j = 0; j < w.stages(); ++j) {
-    if (profile[static_cast<std::size_t>(j)] != expected) return false;
-    if (j + 1 < w.stages()) expected /= static_cast<std::size_t>(w.radix());
-  }
-  return true;
-}
-
-bool satisfies_p_star_n(const FlatWiring& w) {
-  const auto profile = suffix_component_profile(w);
-  std::size_t expected = 1;
-  for (int i = 0; i < w.stages(); ++i) {
-    if (profile[static_cast<std::size_t>(i)] != expected) return false;
-    expected *= static_cast<std::size_t>(w.radix());
-  }
-  return true;
-}
-
-std::size_t component_count_range(const FlatWiring& w, int lo, int hi) {
-  if (lo < 0 || hi >= w.stages() || lo > hi) {
-    throw std::invalid_argument("P(i,j): bad stage range");
-  }
-  const std::uint32_t cells = w.cells_per_stage();
-  const std::size_t span = static_cast<std::size_t>(hi - lo + 1);
-  graph::DSU dsu(span * cells);
-  const auto unite_range = [&](const auto unpack) {
-    for (int s = lo; s < hi; ++s) {
-      unite_stage(w, unpack, s, static_cast<std::uint32_t>(s - lo) * cells,
-                  dsu);
-    }
-  };
-  if (w.radix() == 2) {
-    unite_range(UnpackBinary{});
-  } else {
-    unite_range(UnpackRadix{static_cast<unsigned>(w.radix())});
-  }
-  return dsu.components();
-}
-
-std::size_t component_count_range(const FlatWiring& w,
-                                  const fault::FaultMask& mask, int lo,
-                                  int hi) {
-  if (lo < 0 || hi >= w.stages() || lo > hi) {
-    throw std::invalid_argument("P(i,j): bad stage range");
-  }
-  if (!mask.matches(w)) {
-    throw std::invalid_argument(
-        "component_count_range: fault mask geometry does not match");
-  }
-  const std::uint32_t cells = w.cells_per_stage();
-  const auto radix = static_cast<unsigned>(w.radix());
-  const std::size_t span = static_cast<std::size_t>(hi - lo + 1);
-  graph::DSU dsu(span * cells);
-  for (int s = lo; s < hi; ++s) {
-    const auto down = w.down_stage(s);
-    const std::uint32_t base = static_cast<std::uint32_t>(s - lo) * cells;
-    for (std::uint32_t x = 0; x < cells; ++x) {
-      for (unsigned port = 0; port < radix; ++port) {
-        if (mask.faulted(s, x, port)) continue;  // severed by the fault
-        dsu.unite(base + x,
-                  base + cells + w.unpack_cell(down[x * radix + port]));
-      }
-    }
-  }
-  return dsu.components();
+  return detail::satisfies_star(g, detail::Sweep::kSuffix);
 }
 
 SuffixStructure suffix_component_structure(const MIDigraph& g, int from) {
   check_range(g, from, g.stages() - 1);
   const std::uint32_t cells = g.cells_per_stage();
   const int span = g.stages() - from;
-  graph::DSU dsu(static_cast<std::size_t>(span) * cells);
-  for (int s = from; s + 1 < g.stages(); ++s) {
-    const Connection& conn = g.connection(s);
-    const std::uint32_t base = static_cast<std::uint32_t>(s - from) * cells;
-    for (std::uint32_t x = 0; x < cells; ++x) {
-      dsu.unite(base + x, base + cells + conn.f_table()[x]);
-      dsu.unite(base + x, base + cells + conn.g_table()[x]);
-    }
-  }
+  graph::DSU dsu = united_range(g, cells, from, g.stages() - 1);
   SuffixStructure out;
   std::unordered_map<std::uint32_t, std::size_t> root_index;
   for (int s = 0; s < span; ++s) {

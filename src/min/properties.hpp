@@ -10,14 +10,17 @@
 /// Stage indices here are 0-based: our satisfies_p(g, lo, hi) is the
 /// paper's P(lo+1, hi+1), and the expected component count is
 /// 2^{(stages-1) - (hi-lo)}.
+///
+/// The same sweeps decide P(1,*) and P(*,n) over a FlatWiring or a
+/// KaryMIDigraph at any radix r, expecting cells / r^(hi-lo) components;
+/// those verdicts are read from check_baseline_equivalence's report
+/// (equivalence.hpp).
 
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "fault/fault_mask.hpp"
-#include "min/flat_wiring.hpp"
 #include "min/mi_digraph.hpp"
 
 namespace mineq::min {
@@ -49,29 +52,6 @@ namespace mineq::min {
 
 /// P(*,n) of the paper: every suffix has the expected component count.
 [[nodiscard]] bool satisfies_p_star_n(const MIDigraph& g);
-
-/// FlatWiring fast paths: the same incremental DSU sweeps over the
-/// stage-packed down records. check_baseline_equivalence routes through
-/// these so one IR build serves every check of the characterization.
-[[nodiscard]] std::vector<std::size_t> prefix_component_profile(
-    const FlatWiring& w);
-[[nodiscard]] std::vector<std::size_t> suffix_component_profile(
-    const FlatWiring& w);
-[[nodiscard]] bool satisfies_p1_star(const FlatWiring& w);
-[[nodiscard]] bool satisfies_p_star_n(const FlatWiring& w);
-[[nodiscard]] std::size_t component_count_range(const FlatWiring& w, int lo,
-                                                int hi);
-
-/// Component count of the *survivor* sub-digraph of stages lo..hi under a
-/// fault mask: masked arcs contribute no unions, so switches isolated by
-/// faults count as singleton components. With an empty mask this equals
-/// the unmasked overload (cross-checked in the tests against a DSU over
-/// the explicitly pruned arc list).
-/// \throws std::invalid_argument on a bad range or a mask geometry
-/// mismatch.
-[[nodiscard]] std::size_t component_count_range(const FlatWiring& w,
-                                                const fault::FaultMask& mask,
-                                                int lo, int hi);
 
 /// Lemma 2 structure report for the suffix (G)_{from..n-1}: component
 /// count plus, per component, its intersection size with every stage.

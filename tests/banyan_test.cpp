@@ -82,16 +82,6 @@ TEST(BanyanTest, DoublingAgreesOnClassicalNetworks) {
   }
 }
 
-TEST(BanyanTest, ParallelCheckMatchesSequential) {
-  MINEQ_SEEDED_RNG(rng, 67);
-  for (int trial = 0; trial < 5; ++trial) {
-    const MIDigraph g = test::random_banyan_pipid(7, rng);
-    EXPECT_TRUE(is_banyan(g, /*threads=*/2));
-    const MIDigraph bad = random_independent_network(7, rng);
-    EXPECT_EQ(is_banyan(bad, 1), is_banyan(bad, 2));
-  }
-}
-
 TEST(BanyanTest, SingleStageIsTriviallyBanyan) {
   EXPECT_TRUE(is_banyan(MIDigraph(1, {})));
 }
@@ -148,7 +138,6 @@ TEST(BanyanTest, UnreachableParallelArcFollowsPathDefinition) {
     ASSERT_TRUE(g.connection(1).has_parallel_arcs());
     ASSERT_FALSE(banyan_failure(g).has_value()) << "n=" << n;
     EXPECT_TRUE(is_banyan(g)) << "n=" << n;
-    EXPECT_TRUE(is_banyan(g, /*threads=*/3)) << "n=" << n;
   }
 }
 
@@ -276,7 +265,6 @@ TEST(BanyanTest, KernelMatchesPathCountDefinition) {
       const bool expected = !banyan_failure(g).has_value();
       banyan += expected ? 1 : 0;
       EXPECT_EQ(is_banyan(g), expected);
-      EXPECT_EQ(is_banyan(g, /*threads=*/3), expected);
       if (!g.is_valid()) {
         invalid_banyan += expected ? 1 : 0;
         continue;
@@ -285,7 +273,6 @@ TEST(BanyanTest, KernelMatchesPathCountDefinition) {
       const FlatWiring w = FlatWiring::from_digraph(g);
       ASSERT_EQ(wiring_definition_is_banyan(w), expected);
       EXPECT_EQ(is_banyan(w), expected);
-      EXPECT_EQ(is_banyan(w, /*threads=*/3), expected);
     }
   }
   // Both verdicts, and Banyan networks with invalid degrees, occur.

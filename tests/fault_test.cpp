@@ -12,11 +12,9 @@
 #include <vector>
 
 #include "fault/fault_model.hpp"
-#include "graph/dsu.hpp"
 #include "min/banyan.hpp"
 #include "min/equivalence.hpp"
 #include "min/networks.hpp"
-#include "min/properties.hpp"
 #include "sim/fabric.hpp"
 #include "sim/wormhole.hpp"
 #include "test_seed.hpp"
@@ -448,35 +446,6 @@ TEST(ClassifyFaultedTest, AgreesWithExplicitlyPrunedDigraph) {
     EXPECT_EQ(c.full_access, truth_full_access);
     EXPECT_EQ(c.banyan, truth_banyan);
     EXPECT_EQ(c.surviving_arcs, mask.surviving_arcs());
-
-    // Masked component counts match a DSU over the explicit survivor
-    // arc list.
-    const std::uint32_t cells = w.cells_per_stage();
-    graph::DSU dsu(static_cast<std::size_t>(w.stages()) * cells);
-    for (int s = 0; s + 1 < w.stages(); ++s) {
-      for (std::uint32_t x = 0; x < cells; ++x) {
-        for (unsigned port = 0; port < 2; ++port) {
-          if (mask.faulted(s, x, port)) continue;
-          dsu.unite(static_cast<std::size_t>(s) * cells + x,
-                    static_cast<std::size_t>(s + 1) * cells +
-                        w.child(s, x, port));
-        }
-      }
-    }
-    EXPECT_EQ(
-        min::component_count_range(w, mask, 0, w.stages() - 1),
-        dsu.components());
-  }
-}
-
-TEST(ClassifyFaultedTest, MaskedComponentCountEqualsUnmaskedOnEmptyMask) {
-  const FlatWiring w = omega_wiring(5);
-  const FaultMask empty(w);
-  for (int lo = 0; lo < w.stages(); ++lo) {
-    for (int hi = lo; hi < w.stages(); ++hi) {
-      EXPECT_EQ(min::component_count_range(w, empty, lo, hi),
-                min::component_count_range(w, lo, hi));
-    }
   }
 }
 

@@ -14,8 +14,8 @@
 
 #include "min/baseline.hpp"
 #include "min/banyan.hpp"
+#include "min/equivalence.hpp"
 #include "min/flat_wiring.hpp"
-#include "min/properties.hpp"
 #include "test_seed.hpp"
 #include "util/rng.hpp"
 
@@ -107,16 +107,20 @@ TEST_P(KaryShapeTest, BaselineSatisfiesCharacterization) {
   const KaryMIDigraph g = kary_baseline(stages, radix);
   EXPECT_TRUE(g.is_valid());
   EXPECT_TRUE(kary_is_banyan(g));
-  EXPECT_TRUE(kary_satisfies_p1_star(g));
-  EXPECT_TRUE(kary_satisfies_p_star_n(g));
-  EXPECT_TRUE(kary_is_baseline_equivalent(g));
+  const EquivalenceReport report = check_baseline_equivalence(g);
+  EXPECT_TRUE(report.valid_degrees);
+  EXPECT_TRUE(report.banyan);
+  EXPECT_TRUE(report.p1_star);
+  EXPECT_TRUE(report.p_star_n);
+  EXPECT_TRUE(report.equivalent);
+  EXPECT_EQ(report.failure, "");
 }
 
 TEST_P(KaryShapeTest, OmegaSatisfiesCharacterization) {
   const auto [stages, radix] = GetParam();
   const KaryMIDigraph g = kary_omega(stages, radix);
   EXPECT_TRUE(g.is_valid());
-  EXPECT_TRUE(kary_is_baseline_equivalent(g));
+  EXPECT_TRUE(is_baseline_equivalent(g));
 }
 
 TEST_P(KaryShapeTest, OmegaStagesAreIndependent) {
@@ -153,7 +157,7 @@ TEST(KaryTheorem3Test, AlignedBanyanIndependentImpliesEquivalent) {
         const KaryMIDigraph g(stages, radix, std::move(connections));
         if (!kary_is_banyan(g)) continue;
         ++banyan_seen;
-        EXPECT_TRUE(kary_is_baseline_equivalent(g))
+        EXPECT_TRUE(is_baseline_equivalent(g))
             << "radix=" << radix << " stages=" << stages;
       }
       EXPECT_GT(banyan_seen, 0) << "radix=" << radix << " stages=" << stages;
@@ -186,7 +190,7 @@ TEST(KaryTheorem3Test, VerbatimGeneralizationFailsForRadix3) {
       ASSERT_TRUE(g.connection(s).is_independent_definition());
     }
     // ...yet equivalence can fail.
-    if (!kary_is_baseline_equivalent(g)) counterexample = true;
+    if (!is_baseline_equivalent(g)) counterexample = true;
   }
   EXPECT_GT(banyan_seen, 0);
   EXPECT_TRUE(counterexample)
@@ -230,19 +234,9 @@ TEST(KaryTest, RandomNetworksMostlyNotEquivalent) {
       connections.push_back(KaryConnection::random_valid(3, 2, rng));
     }
     const KaryMIDigraph g(3, 3, std::move(connections));
-    if (kary_is_baseline_equivalent(g)) ++equivalent;
+    if (is_baseline_equivalent(g)) ++equivalent;
   }
   EXPECT_LT(equivalent, 10);
-}
-
-TEST(KaryTest, ComponentCountsOnBaseline) {
-  const KaryMIDigraph g = kary_baseline(3, 3);  // 9 cells per stage
-  EXPECT_EQ(kary_component_count_range(g, 0, 0), 9U);
-  EXPECT_EQ(kary_component_count_range(g, 0, 1), 3U);
-  EXPECT_EQ(kary_component_count_range(g, 0, 2), 1U);
-  EXPECT_EQ(kary_component_count_range(g, 1, 2), 3U);
-  EXPECT_THROW((void)kary_component_count_range(g, 1, 3),
-               std::invalid_argument);
 }
 
 TEST(KaryTest, DigraphValidation) {
@@ -338,7 +332,6 @@ TEST(KaryTest, BanyanKernelMatchesPathCountReference) {
         if (!g.is_valid()) continue;
         const FlatWiring w = FlatWiring::from_kary(g);
         EXPECT_EQ(is_banyan(w), expected);
-        EXPECT_EQ(is_banyan(w, /*threads=*/3), expected);
       }
     }
   }
